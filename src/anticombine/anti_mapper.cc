@@ -1,8 +1,5 @@
 #include "anticombine/anti_mapper.h"
 
-#include <algorithm>
-#include <map>
-
 #include "anticombine/encoding.h"
 #include "common/stopwatch.h"
 #include "mr/metrics.h"
@@ -39,10 +36,8 @@ void AntiMapper::Setup(const TaskInfo& info, MapContext* ctx) {
   capture_.Clear();
   const uint64_t t0 = NowNanos();
   o_mapper_->Setup(info, &capture_);
-  const uint64_t cost = NowNanos() - t0;
-  if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, cost, ctx);
-  }
+  // Setup emissions have no input record to resend: Eager only.
+  EncodeAndEmit(capture_, {}, nullptr, NowNanos() - t0, ctx);
 }
 
 void AntiMapper::Cleanup(MapContext* ctx) {
@@ -50,10 +45,7 @@ void AntiMapper::Cleanup(MapContext* ctx) {
   capture_.Clear();
   const uint64_t t0 = NowNanos();
   o_mapper_->Cleanup(&capture_);
-  const uint64_t cost = NowNanos() - t0;
-  if (!capture_.empty()) {
-    EncodeAndEmit(Slice(), Slice(), /*have_input=*/false, cost, ctx);
-  }
+  EncodeAndEmit(capture_, {}, nullptr, NowNanos() - t0, ctx);
 }
 
 void AntiMapper::Map(const Slice& key, const Slice& value, MapContext* ctx) {
@@ -64,28 +56,19 @@ void AntiMapper::Map(const Slice& key, const Slice& value, MapContext* ctx) {
   o_mapper_->Map(key, value, &capture_);
   const uint64_t map_cost = NowNanos() - t0;
   if (info_.metrics != nullptr) info_.metrics->cpu.map_fn += map_cost;
-  if (options_.cross_call_window > 1) {
-    BufferCall(key, value, map_cost, ctx);
+  const RecordRef input(key, value);
+  if (options_.cross_call_window <= 1) {
+    EncodeAndEmit(capture_, {&input, 1}, nullptr, map_cost, ctx);
     return;
   }
-  EncodeAndEmit(key, value, /*have_input=*/true, map_cost, ctx);
-}
-
-void AntiMapper::BufferCall(const Slice& input_key, const Slice& input_value,
-                            uint64_t map_cost_nanos, MapContext* ctx) {
-  JobMetrics* m = info_.metrics;
-  const size_t call = window_inputs_.size();
-  for (size_t i = 0; i < capture_.size(); ++i) {
-    window_capture_.Emit(capture_.key(i), capture_.value(i));
-    window_call_of_.push_back(call);
-    if (m != nullptr) {
-      m->map_output_records += 1;
-      m->map_output_bytes += capture_.key(i).size() + capture_.value(i).size();
-    }
+  // Cross-call mode: stash the call's capture, flushing when full.
+  CountOutput(capture_);
+  for (const RecordRef& rec : capture_.records()) {
+    window_capture_.Emit(rec.key, rec.value);
+    window_call_of_.push_back(window_inputs_.size());
   }
-  window_inputs_.push_back(
-      window_input_arena_.InternRecord(input_key, input_value));
-  window_cost_nanos_ += map_cost_nanos;
+  window_inputs_.push_back(window_input_arena_.InternRecord(key, value));
+  window_cost_nanos_ += map_cost;
   if (window_inputs_.size() >=
       static_cast<size_t>(options_.cross_call_window)) {
     FlushWindow(ctx);
@@ -93,140 +76,8 @@ void AntiMapper::BufferCall(const Slice& input_key, const Slice& input_value,
 }
 
 void AntiMapper::FlushWindow(MapContext* ctx) {
-  JobMetrics* m = info_.metrics;
-  const size_t n = window_capture_.size();
-  if (n == 0) {
-    window_inputs_.clear();
-    window_input_arena_.Clear();
-    window_cost_nanos_ = 0;
-    return;
-  }
-
-  partitions_.resize(n);
-  const uint64_t p0 = NowNanos();
-  for (size_t i = 0; i < n; ++i) {
-    partitions_[i] = info_.partitioner->Partition(window_capture_.key(i),
-                                                  info_.num_reduce_tasks);
-  }
-  const uint64_t partition_cost = NowNanos() - p0;
-  if (m != nullptr) m->cpu.partition_fn += partition_cost;
-
-  const uint64_t encode_start = NowNanos();
-  order_.resize(n);
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-    if (partitions_[a] != partitions_[b]) {
-      return partitions_[a] < partitions_[b];
-    }
-    const int vc = window_capture_.value(a).compare(window_capture_.value(b));
-    if (vc != 0) return vc < 0;
-    return info_.key_cmp(window_capture_.key(a), window_capture_.key(b)) < 0;
-  });
-
-  // Per (partition, call) minimal key: the representative a LazySH record
-  // for that call would use in that partition.
-  std::map<std::pair<int, size_t>, Slice> call_min_key;
-  for (size_t i = 0; i < n; ++i) {
-    const auto pc = std::make_pair(partitions_[i], window_call_of_[i]);
-    auto [it, inserted] = call_min_key.emplace(pc, window_capture_.key(i));
-    if (!inserted &&
-        info_.key_cmp(window_capture_.key(i), it->second) < 0) {
-      it->second = window_capture_.key(i);
-    }
-  }
-
-  // Count partitions touched for the threshold test (coarse batch form of
-  // Figure 7: the whole window's Map cost would be re-paid per task).
-  int partitions_touched = 0;
-  {
-    int prev = -1;
-    for (size_t i = 0; i < n; ++i) {
-      const int p = partitions_[order_[i]];
-      if (p != prev) {
-        ++partitions_touched;
-        prev = p;
-      }
-    }
-  }
-  const uint64_t re_exec_cost =
-      (window_cost_nanos_ + partition_cost) *
-      static_cast<uint64_t>(partitions_touched);
-  const bool lazy_allowed = allow_lazy_ &&
-                            options_.lazy_threshold_nanos > 0 &&
-                            re_exec_cost <= options_.lazy_threshold_nanos;
-
-  // Walk partition ranges; inside each, value-group runs give the
-  // cross-call EagerSH encoding.
-  struct EagerGroup {
-    Slice rep_key;
-    std::vector<Slice> other_keys;
-    Slice value;
-  };
-  size_t pos = 0;
-  std::vector<EagerGroup> groups;
-  while (pos < n) {
-    const int partition = partitions_[order_[pos]];
-    groups.clear();
-    size_t eager_bytes = 0;
-    while (pos < n && partitions_[order_[pos]] == partition) {
-      EagerGroup g;
-      g.value = window_capture_.value(order_[pos]);
-      g.rep_key = window_capture_.key(order_[pos]);
-      ++pos;
-      while (pos < n && partitions_[order_[pos]] == partition &&
-             window_capture_.value(order_[pos]) == g.value) {
-        g.other_keys.push_back(window_capture_.key(order_[pos]));
-        ++pos;
-      }
-      eager_bytes += g.rep_key.size() + EagerPayloadSize(g.other_keys, g.value);
-      groups.push_back(std::move(g));
-    }
-
-    // LazySH alternative: resend every buffered input that contributed to
-    // this partition.
-    size_t lazy_bytes = 0;
-    size_t lazy_count = 0;
-    for (size_t c = 0; c < window_inputs_.size(); ++c) {
-      auto it = call_min_key.find({partition, c});
-      if (it == call_min_key.end()) continue;
-      lazy_bytes += it->second.size() +
-                    LazyPayloadSize(window_inputs_[c].key,
-                                    window_inputs_[c].value);
-      ++lazy_count;
-    }
-
-    const bool use_lazy = lazy_allowed && lazy_count > 0 &&
-                          (options_.force_lazy || lazy_bytes < eager_bytes);
-    TraceDecision(use_lazy, partition, lazy_bytes, eager_bytes);
-    if (use_lazy) {
-      for (size_t c = 0; c < window_inputs_.size(); ++c) {
-        auto it = call_min_key.find({partition, c});
-        if (it == call_min_key.end()) continue;
-        EncodeLazyPayload(window_inputs_[c].key, window_inputs_[c].value,
-                          &payload_);
-        ctx->Emit(it->second, payload_);
-        if (m != nullptr) m->lazy_records += 1;
-      }
-      continue;
-    }
-    std::sort(groups.begin(), groups.end(),
-              [this](const EagerGroup& a, const EagerGroup& b) {
-                return info_.key_cmp(a.rep_key, b.rep_key) < 0;
-              });
-    for (const EagerGroup& g : groups) {
-      EncodeEagerPayload(g.other_keys, g.value, &payload_);
-      ctx->Emit(g.rep_key, payload_);
-      if (m != nullptr) {
-        if (g.other_keys.empty()) {
-          m->plain_records += 1;
-        } else {
-          m->eager_records += 1;
-        }
-      }
-    }
-  }
-  if (m != nullptr) m->cpu.encode += NowNanos() - encode_start;
-
+  EncodeAndEmit(window_capture_, window_inputs_, window_call_of_.data(),
+                window_cost_nanos_, ctx);
   window_capture_.Clear();
   window_call_of_.clear();
   window_inputs_.clear();
@@ -234,17 +85,54 @@ void AntiMapper::FlushWindow(MapContext* ctx) {
   window_cost_nanos_ = 0;
 }
 
-void AntiMapper::EncodeAndEmit(const Slice& input_key,
-                               const Slice& input_value, bool have_input,
-                               uint64_t map_cost_nanos, MapContext* ctx) {
-  JobMetrics* m = info_.metrics;
-  const size_t n = capture_.size();
-  if (m != nullptr) {
-    m->map_output_records += n;
-    for (size_t i = 0; i < n; ++i) {
-      m->map_output_bytes += capture_.key(i).size() + capture_.value(i).size();
+void AntiMapper::CountOutput(const CaptureContext& batch) {
+  if (JobMetrics* m = info_.metrics) {
+    m->map_output_records += batch.size();
+    for (const RecordRef& rec : batch.records()) {
+      m->map_output_bytes += rec.bytes();
     }
   }
+}
+
+size_t AntiMapper::SizeLazy(const CaptureContext& batch,
+                            const EagerGroups::Partition& part,
+                            std::span<const RecordRef> inputs,
+                            const size_t* call_of) {
+  call_min_.assign(inputs.size(), nullptr);
+  if (call_of == nullptr) {
+    call_min_[0] = &part.min_key;
+  } else {
+    for (size_t i = part.begin; i < part.end; ++i) {
+      const Slice& key = batch.records()[groups_.record(i)].key;
+      const Slice*& min = call_min_[call_of[groups_.record(i)]];
+      if (min == nullptr || info_.key_cmp(key, *min) < 0) min = &key;
+    }
+  }
+  size_t bytes = 0;
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    if (call_min_[c] == nullptr) continue;
+    bytes += call_min_[c]->size() +
+             LazyPayloadSize(inputs[c].key, inputs[c].value);
+  }
+  return bytes;
+}
+
+void AntiMapper::EmitEager(const EagerGroups::Partition& part,
+                           MapContext* ctx) {
+  const size_t shared = groups_.Emit(part, ctx, &payload_);
+  if (JobMetrics* m = info_.metrics) {
+    m->eager_records += shared;
+    m->plain_records += part.group_end - part.group_begin - shared;
+  }
+}
+
+void AntiMapper::EncodeAndEmit(const CaptureContext& batch,
+                               std::span<const RecordRef> inputs,
+                               const size_t* call_of, uint64_t map_cost_nanos,
+                               MapContext* ctx) {
+  JobMetrics* m = info_.metrics;
+  const size_t n = batch.size();
+  if (call_of == nullptr) CountOutput(batch);
   if (n == 0) return;
 
   // Fast path for fan-out 1 (e.g. Sort): no sharing is possible, so skip
@@ -252,26 +140,27 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   // when resending the input is strictly smaller (Figure 7's size test
   // degenerates to a single comparison). Keeps the Section 7.1 overhead to
   // the flag bytes plus one size comparison.
-  if (n == 1) {
-    const Slice only_key = capture_.key(0);
-    const Slice only_value = capture_.value(0);
-    static const std::vector<Slice> kNoKeys;
+  if (n == 1 && call_of == nullptr) {
+    const Slice only_key = batch.key(0);
+    const Slice only_value = batch.value(0);
     const size_t eager_bytes =
-        only_key.size() + EagerPayloadSize(kNoKeys, only_value);
-    const bool lazy_ok = allow_lazy_ && have_input &&
+        only_key.size() + EagerPayloadSize({}, only_value);
+    const bool lazy_ok = allow_lazy_ && !inputs.empty() &&
                          options_.lazy_threshold_nanos > 0 &&
                          map_cost_nanos <= options_.lazy_threshold_nanos;
     const size_t lazy_bytes =
-        only_key.size() + LazyPayloadSize(input_key, input_value);
+        lazy_ok ? only_key.size() + LazyPayloadSize(inputs[0].key,
+                                                    inputs[0].value)
+                : 0;
     const bool use_lazy =
         lazy_ok && (options_.force_lazy || lazy_bytes < eager_bytes);
     TraceDecision(use_lazy, /*partition=*/-1, lazy_bytes, eager_bytes);
     if (use_lazy) {
-      EncodeLazyPayload(input_key, input_value, &payload_);
+      EncodeLazyPayload(inputs[0].key, inputs[0].value, &payload_);
       ctx->Emit(only_key, payload_);
       if (m != nullptr) m->lazy_records += 1;
     } else {
-      EncodeEagerPayload(kNoKeys, only_value, &payload_);
+      EncodeEagerPayload({}, only_value, &payload_);
       ctx->Emit(only_key, payload_);
       if (m != nullptr) m->plain_records += 1;
     }
@@ -284,122 +173,58 @@ void AntiMapper::EncodeAndEmit(const Slice& input_key,
   const uint64_t p0 = NowNanos();
   for (size_t i = 0; i < n; ++i) {
     partitions_[i] =
-        info_.partitioner->Partition(capture_.key(i), info_.num_reduce_tasks);
+        info_.partitioner->Partition(batch.key(i), info_.num_reduce_tasks);
   }
   const uint64_t partition_cost = NowNanos() - p0;
   if (m != nullptr) m->cpu.partition_fn += partition_cost;
 
-  const uint64_t encode_start = NowNanos();
-
-  // One sort by (partition, value, key) replaces the per-call hash maps:
-  // after it, each partition is a contiguous range, each value group a
-  // contiguous run inside it, and the run's first record carries the
-  // minimal (representative) key.
-  order_.resize(n);
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-    if (partitions_[a] != partitions_[b]) return partitions_[a] < partitions_[b];
-    const int vc = capture_.value(a).compare(capture_.value(b));
-    if (vc != 0) return vc < 0;
-    return info_.key_cmp(capture_.key(a), capture_.key(b)) < 0;
-  });
-
-  struct EagerGroup {
-    Slice rep_key;
-    std::vector<Slice> other_keys;
-    Slice value;
-  };
-  struct PartitionPlan {
-    int partition = 0;
-    std::vector<EagerGroup> groups;
-    size_t eager_bytes = 0;
-    Slice min_key;
-    size_t lazy_bytes = 0;
-  };
-
   // Phase 1: build each partition's EagerSH encoding and size both options.
-  std::vector<PartitionPlan> plans;
-  size_t pos = 0;
-  while (pos < order_.size()) {
-    const int partition = partitions_[order_[pos]];
-    PartitionPlan plan;
-    plan.partition = partition;
-    while (pos < order_.size() && partitions_[order_[pos]] == partition) {
-      // One value group: a run of equal values, keys ascending.
-      EagerGroup g;
-      g.value = capture_.value(order_[pos]);
-      g.rep_key = capture_.key(order_[pos]);
-      ++pos;
-      while (pos < order_.size() && partitions_[order_[pos]] == partition &&
-             capture_.value(order_[pos]) == g.value) {
-        g.other_keys.push_back(capture_.key(order_[pos]));
-        ++pos;
-      }
-      if (plan.groups.empty() ||
-          info_.key_cmp(g.rep_key, plan.min_key) < 0) {
-        plan.min_key = g.rep_key;
-      }
-      plan.eager_bytes +=
-          g.rep_key.size() + EagerPayloadSize(g.other_keys, g.value);
-      plan.groups.push_back(std::move(g));
-    }
-    // LazySH resends the input record keyed by this partition's minimal key.
-    plan.lazy_bytes =
-        plan.min_key.size() + LazyPayloadSize(input_key, input_value);
-    plans.push_back(std::move(plan));
+  const uint64_t encode_start = NowNanos();
+  groups_.Build(batch.records(), partitions_.data(), info_.key_cmp);
+  const std::vector<EagerGroups::Partition>& parts = groups_.partitions();
+  lazy_bytes_.clear();
+  size_t eager_total = 0, lazy_total = 0;
+  for (const EagerGroups::Partition& part : parts) {
+    lazy_bytes_.push_back(
+        inputs.empty() ? 0 : SizeLazy(batch, part, inputs, call_of));
+    eager_total += part.eager_bytes;
+    lazy_total += lazy_bytes_.back();
   }
 
-  // Figure 7's threshold test: if re-executing this Map call (plus its
-  // Partition calls) on every receiving reduce task would exceed T, fall
-  // back to EagerSH for all partitions.
+  // Figure 7's threshold test: if re-executing the batch's Map calls (plus
+  // their Partition calls) on every receiving reduce task would exceed T,
+  // fall back to EagerSH for all partitions.
   const uint64_t re_exec_cost =
-      (map_cost_nanos + partition_cost) * static_cast<uint64_t>(plans.size());
-  const bool lazy_allowed = allow_lazy_ && have_input &&
+      (map_cost_nanos + partition_cost) * static_cast<uint64_t>(parts.size());
+  const bool lazy_allowed = allow_lazy_ && !inputs.empty() &&
                             options_.lazy_threshold_nanos > 0 &&
                             re_exec_cost <= options_.lazy_threshold_nanos;
-
   // Phase 2: choose the encoding. Normally per partition (Figure 7); the
-  // global mode (an ablation) makes one choice for the whole Map call.
-  bool global_lazy = false;
-  if (!options_.per_partition_choice && lazy_allowed) {
-    size_t eager_total = 0, lazy_total = 0;
-    for (const PartitionPlan& plan : plans) {
-      eager_total += plan.eager_bytes;
-      lazy_total += plan.lazy_bytes;
-    }
-    global_lazy = options_.force_lazy || lazy_total < eager_total;
-  }
+  // global mode (an ablation) makes one choice for the whole batch.
+  const bool global_lazy = options_.force_lazy || lazy_total < eager_total;
 
-  for (PartitionPlan& plan : plans) {
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const EagerGroups::Partition& part = parts[p];
     bool use_lazy = false;
     if (lazy_allowed) {
       use_lazy = options_.per_partition_choice
                      ? (options_.force_lazy ||
-                        plan.lazy_bytes < plan.eager_bytes)
+                        lazy_bytes_[p] < part.eager_bytes)
                      : global_lazy;
     }
-    TraceDecision(use_lazy, plan.partition, plan.lazy_bytes, plan.eager_bytes);
-    if (use_lazy) {
-      EncodeLazyPayload(input_key, input_value, &payload_);
-      ctx->Emit(plan.min_key, payload_);
-      if (m != nullptr) m->lazy_records += 1;
+    TraceDecision(use_lazy, part.partition, lazy_bytes_[p], part.eager_bytes);
+    if (!use_lazy) {
+      EmitEager(part, ctx);
       continue;
     }
-    // Deterministic emission order: sort groups by representative key.
-    std::sort(plan.groups.begin(), plan.groups.end(),
-              [this](const EagerGroup& a, const EagerGroup& b) {
-                return info_.key_cmp(a.rep_key, b.rep_key) < 0;
-              });
-    for (const EagerGroup& g : plan.groups) {
-      EncodeEagerPayload(g.other_keys, g.value, &payload_);
-      ctx->Emit(g.rep_key, payload_);
-      if (m != nullptr) {
-        if (g.other_keys.empty()) {
-          m->plain_records += 1;
-        } else {
-          m->eager_records += 1;
-        }
-      }
+    // LazySH: each contributing call's input, keyed by the minimal key
+    // that call sends to this partition.
+    SizeLazy(batch, part, inputs, call_of);
+    for (size_t c = 0; c < inputs.size(); ++c) {
+      if (call_min_[c] == nullptr) continue;
+      EncodeLazyPayload(inputs[c].key, inputs[c].value, &payload_);
+      ctx->Emit(*call_min_[c], payload_);
+      if (m != nullptr) m->lazy_records += 1;
     }
   }
 

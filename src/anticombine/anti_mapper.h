@@ -7,9 +7,11 @@
 #define ANTIMR_ANTICOMBINE_ANTI_MAPPER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "anticombine/eager_groups.h"
 #include "anticombine/options.h"
 #include "common/arena.h"
 #include "mr/api.h"
@@ -17,11 +19,13 @@
 namespace antimr {
 namespace anticombine {
 
-/// \brief MapContext that records emissions instead of forwarding them.
+/// \brief Map or reduce context that records emissions instead of
+/// forwarding them.
 ///
-/// Arena-backed: one Map call's output lands in a single reused buffer, so
-/// interception costs no per-record allocations after warm-up.
-class CaptureContext : public MapContext {
+/// Arena-backed: one Map call's output (or one combine pass's Combiner
+/// output) lands in a single reused buffer, so interception costs no
+/// per-record allocations after warm-up.
+class CaptureContext : public MapContext, public ReduceContext {
  public:
   void Emit(const Slice& key, const Slice& value) override {
     entries_.push_back(arena_.InternRecord(key, value));
@@ -35,6 +39,7 @@ class CaptureContext : public MapContext {
   /// (the cross-call window relies on this).
   Slice key(size_t i) const { return entries_[i].key; }
   Slice value(size_t i) const { return entries_[i].value; }
+  const RecordBatch& records() const { return entries_; }
 
   void Clear() {
     arena_.Clear();
@@ -43,7 +48,7 @@ class CaptureContext : public MapContext {
 
  private:
   Arena arena_;
-  std::vector<RecordRef> entries_;
+  RecordBatch entries_;
 };
 
 /// \brief Adaptive encoding mapper.
@@ -61,21 +66,31 @@ class AntiMapper : public Mapper {
   void Cleanup(MapContext* ctx) override;
 
  private:
-  /// Encode and emit the captured batch. `have_input` is false for batches
-  /// captured outside a Map call (Setup/Cleanup emissions), which cannot be
-  /// Lazy-encoded because there is no input record to resend.
-  void EncodeAndEmit(const Slice& input_key, const Slice& input_value,
-                     bool have_input, uint64_t map_cost_nanos,
-                     MapContext* ctx);
+  /// Encode and emit one batch of captured records. `inputs` are the input
+  /// records of the Map calls that produced it: one for a Map call, the
+  /// buffered calls for a cross-call window, none for Setup/Cleanup
+  /// emissions, which therefore cannot be Lazy-encoded. `call_of[i]` is
+  /// the index in `inputs` of record i's call; null means a single call.
+  void EncodeAndEmit(const CaptureContext& batch,
+                     std::span<const RecordRef> inputs, const size_t* call_of,
+                     uint64_t map_cost_nanos, MapContext* ctx);
 
-  /// Cross-call mode (options_.cross_call_window > 1): stash one Map
-  /// call's capture into the window buffers, flushing when full.
-  void BufferCall(const Slice& input_key, const Slice& input_value,
-                  uint64_t map_cost_nanos, MapContext* ctx);
-
-  /// Encode and emit the whole buffered window: EagerSH value groups span
-  /// calls; LazySH records still resend individual inputs.
+  /// Encode and emit the buffered window: EagerSH value groups span calls;
+  /// LazySH records still resend individual inputs.
   void FlushWindow(MapContext* ctx);
+
+  /// Count a captured batch as the original program's map output.
+  void CountOutput(const CaptureContext& batch);
+
+  /// Bytes of `part`'s LazySH encoding: per contributing call, its input
+  /// keyed by the minimal key the call sends to `part`. Leaves those keys
+  /// in call_min_.
+  size_t SizeLazy(const CaptureContext& batch,
+                  const EagerGroups::Partition& part,
+                  std::span<const RecordRef> inputs, const size_t* call_of);
+
+  /// Emit one partition of groups_ as EagerSH records, counting them.
+  void EmitEager(const EagerGroups::Partition& part, MapContext* ctx);
 
   /// Record one AdaptiveSH Eager/Lazy choice as a trace instant. Decisions
   /// happen per partition per Map call — far too many to record all — so
@@ -93,9 +108,13 @@ class AntiMapper : public Mapper {
   std::unique_ptr<Mapper> o_mapper_;
   CaptureContext capture_;
   TaskInfo info_;
-  std::string payload_;         // scratch reused across emissions
-  std::vector<int> partitions_;  // scratch per-record partition assignment
-  std::vector<size_t> order_;    // scratch index sort for grouping
+  std::string payload_;  // scratch reused across emissions
+
+  // Scratch for encoding one batch.
+  std::vector<int> partitions_;         // per-record partition
+  EagerGroups groups_;                  // value groups per partition
+  std::vector<size_t> lazy_bytes_;      // per partition: LazySH size
+  std::vector<const Slice*> call_min_;  // per call: minimal key, or null
 
   // Cross-call window state (only used when cross_call_window > 1).
   CaptureContext window_capture_;     // records of all buffered calls

@@ -7,7 +7,7 @@
 #ifndef ANTIMR_ANTICOMBINE_ANTI_REDUCER_H_
 #define ANTIMR_ANTICOMBINE_ANTI_REDUCER_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +16,7 @@
 #include "anticombine/options.h"
 #include "anticombine/shared.h"
 #include "common/arena.h"
-#include "common/hash.h"
+#include "common/key_index.h"
 #include "mr/api.h"
 
 namespace antimr {
@@ -56,8 +56,8 @@ class AntiReducer : public Reducer {
   std::unique_ptr<Mapper> o_mapper_;
   std::unique_ptr<Reducer> o_combiner_;
   std::unique_ptr<Shared> shared_;
-  CaptureContext remap_capture_;
-  std::vector<KV> discard_;  // sink for Setup-time emissions of sub-objects
+  CaptureContext remap_capture_;  // also discards sub-objects' Setup and
+                                 // Cleanup emissions
 
   // Scratch reused across Reduce calls to avoid per-group allocations. The
   // local-group fast path interns each plain record once into local_arena_
@@ -65,7 +65,6 @@ class AntiReducer : public Reducer {
   // record.
   Arena local_arena_;
   std::vector<RecordRef> local_group_;
-  std::vector<Slice> local_values_;
   std::vector<Slice> decode_keys_;
   std::vector<std::string> group_values_;
   std::vector<bool> mine_;
@@ -73,10 +72,12 @@ class AntiReducer : public Reducer {
 
 /// \brief Anti-Combining-aware Combiner wrapper.
 ///
-/// Runs in the map phase over *encoded* records: decodes the records of its
-/// partition, applies the original Combiner per key, and re-encodes the
-/// combined output with EagerSH (grouping by combined value across keys),
-/// emitting in key order so the segment stays merge-compatible.
+/// Runs in the map phase over *encoded* records (paper Section 6.1), as one
+/// flat pass. Reduce decodes each record of the partition once into
+/// (key id, value) pairs. Cleanup buckets the values per key, runs the
+/// original Combiner over the keys in comparator order, and re-encodes its
+/// output with EagerSH value groups across keys, emitted in (representative
+/// key, value) order so the segment stays merge-compatible.
 class AntiCombiner : public Reducer {
  public:
   AntiCombiner(ReducerFactory o_combiner_factory,
@@ -89,8 +90,12 @@ class AntiCombiner : public Reducer {
 
  private:
   void DecodeValue(const Slice& rep_key, const Slice& payload);
-  /// Intern (key, value) into the accumulator; the arena owns all bytes.
-  void AddAcc(const Slice& key, const Slice& value);
+  /// Id of `key` in keys_, interning it on first sight.
+  uint32_t KeyId(const Slice& key);
+  void Add(uint32_t key_id, const Slice& value) {
+    pair_keys_.push_back(key_id);
+    pair_values_.push_back(value);
+  }
 
   ReducerFactory o_combiner_factory_;
   MapperFactory o_mapper_factory_;
@@ -100,13 +105,23 @@ class AntiCombiner : public Reducer {
   std::unique_ptr<Mapper> o_mapper_;
   CaptureContext remap_capture_;
 
-  /// Decoded records accumulated across the whole combine pass; sorted by
-  /// the key comparator once, in Cleanup (cheaper than an ordered map for
-  /// the hot insert path). Keys and values are views into acc_arena_ — each
-  /// distinct key is interned once, each value once, instead of a
-  /// std::string pair per decoded record.
-  Arena acc_arena_;
-  std::unordered_map<Slice, std::vector<Slice>, SliceHash> acc_;
+  // Decoded records of the pass, as views into arena_: each distinct key is
+  // interned once, each value once per record.
+  Arena arena_;
+  std::vector<Slice> keys_;          // distinct keys, by id
+  KeyIndex key_index_;               // key -> id over keys_
+  uint32_t last_rep_id_ = 0;         // id of the last representative key
+  std::vector<uint32_t> pair_keys_;  // decoded (key id, value) pairs, in
+  std::vector<Slice> pair_values_;   //   arrival order
+  std::vector<Slice> decode_keys_;
+
+  // Cleanup scratch.
+  std::vector<uint32_t> key_ends_;  // end of each key's bucket in buckets_
+  std::vector<RecordRef> buckets_;  // decoded records bucketed by key id
+  std::vector<uint32_t> key_order_;  // key ids in comparator order
+  CaptureContext combined_;          // the original Combiner's output
+  EagerGroups groups_;
+  std::string payload_;
 };
 
 }  // namespace anticombine

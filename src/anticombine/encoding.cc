@@ -5,16 +5,13 @@
 namespace antimr {
 namespace anticombine {
 
-void EncodeEagerPayload(const std::vector<Slice>& other_keys,
+void EncodeEagerPayload(std::span<const Slice> other_keys,
                         const Slice& value, std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>(Encoding::kEager));
-  PutVarint32(out, static_cast<uint32_t>(other_keys.size()));
-  for (const Slice& key : other_keys) PutLengthPrefixed(out, key);
-  out->append(value.data(), value.size());
+  out->resize(EagerPayloadSize(other_keys, value));
+  EncodeEagerPayloadTo(out->data(), other_keys, value);
 }
 
-size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
+size_t EagerPayloadSize(std::span<const Slice> other_keys,
                         const Slice& value) {
   size_t size = 1 + static_cast<size_t>(VarintLength(other_keys.size()));
   for (const Slice& key : other_keys) {
@@ -23,7 +20,7 @@ size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
   return size + value.size();
 }
 
-char* EncodeEagerPayloadTo(char* dst, const std::vector<Slice>& other_keys,
+char* EncodeEagerPayloadTo(char* dst, std::span<const Slice> other_keys,
                            const Slice& value) {
   *dst++ = static_cast<char>(Encoding::kEager);
   dst = EncodeVarint32(dst, static_cast<uint32_t>(other_keys.size()));
@@ -92,24 +89,6 @@ Status DecodeLazyPayload(const Slice& rest, Slice* input_key,
   return Status::OK();
 }
 
-void EncodeEagerDictPayload(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value, std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>(Encoding::kEagerDict));
-  PutVarint32(out, static_cast<uint32_t>(dict_ids.size()));
-  for (uint32_t id : dict_ids) PutVarint32(out, id);
-  out->append(value.data(), value.size());
-}
-
-size_t EagerDictPayloadSize(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value) {
-  size_t size = 1 + static_cast<size_t>(VarintLength(dict_ids.size()));
-  for (uint32_t id : dict_ids) {
-    size += static_cast<size_t>(VarintLength(id));
-  }
-  return size + value.size();
-}
-
 char* EncodeEagerDictPayloadTo(char* dst,
                                const std::vector<uint32_t>& dict_ids,
                                const Slice& value) {
@@ -176,33 +155,6 @@ Status RematerializeEagerDictPayload(const Slice& rest,
   }
   std::memcpy(q, p, value_size);
   *out = Slice(dst, size);
-  return Status::OK();
-}
-
-Status DecodeEagerDictPayload(const Slice& rest,
-                              const std::vector<Slice>& dictionary,
-                              std::vector<Slice>* other_keys, Slice* value) {
-  Slice in = rest;
-  uint32_t n;
-  if (!GetVarint32(&in, &n)) {
-    return Status::Corruption("anti-combining: bad eager-dict key count");
-  }
-  other_keys->clear();
-  other_keys->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t id;
-    if (!GetVarint32(&in, &id)) {
-      return Status::Corruption("anti-combining: truncated eager-dict id");
-    }
-    if (id >= dictionary.size()) {
-      return Status::Corruption(
-          "anti-combining: bad dictionary id " + std::to_string(id) +
-          " (dictionary has " + std::to_string(dictionary.size()) +
-          " entries)");
-    }
-    other_keys->push_back(dictionary[id]);
-  }
-  *value = in;
   return Status::OK();
 }
 

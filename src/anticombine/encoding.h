@@ -29,6 +29,7 @@
 #define ANTIMR_ANTICOMBINE_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,18 +48,18 @@ enum class Encoding : uint8_t {
 };
 
 /// Build an EagerSH payload. `other_keys` excludes the representative.
-void EncodeEagerPayload(const std::vector<Slice>& other_keys,
+void EncodeEagerPayload(std::span<const Slice> other_keys,
                         const Slice& value, std::string* out);
 
 /// Bytes EncodeEagerPayload would produce, without building it.
-size_t EagerPayloadSize(const std::vector<Slice>& other_keys,
+size_t EagerPayloadSize(std::span<const Slice> other_keys,
                         const Slice& value);
 
 /// Serialize an EagerSH payload straight into `dst` (which must hold at
 /// least EagerPayloadSize bytes); returns one past the last byte written.
 /// Lets the chunk reader rematerialize into arena storage without an
 /// intermediate string.
-char* EncodeEagerPayloadTo(char* dst, const std::vector<Slice>& other_keys,
+char* EncodeEagerPayloadTo(char* dst, std::span<const Slice> other_keys,
                            const Slice& value);
 
 /// Build a LazySH payload from the original Map *input* record.
@@ -79,26 +80,12 @@ Status DecodeEagerPayload(const Slice& rest, std::vector<Slice>* other_keys,
 Status DecodeLazyPayload(const Slice& rest, Slice* input_key,
                          Slice* input_value);
 
-/// Build an EagerSH/dict payload: other_keys as block-dictionary ids.
-void EncodeEagerDictPayload(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value, std::string* out);
-
-/// Bytes EncodeEagerDictPayload would produce, without building it.
-size_t EagerDictPayloadSize(const std::vector<uint32_t>& dict_ids,
-                            const Slice& value);
-
-/// Serialize an EagerSH/dict payload straight into `dst` (at least
-/// EagerDictPayloadSize bytes); returns one past the last byte written.
+/// Serialize an EagerSH/dict payload (other_keys as block-dictionary ids)
+/// straight into `dst`, which must hold 1 + varint(n) + the ids' varints +
+/// value bytes; returns one past the last byte written.
 char* EncodeEagerDictPayloadTo(char* dst,
                                const std::vector<uint32_t>& dict_ids,
                                const Slice& value);
-
-/// Parse a flag-stripped EagerSH/dict payload, resolving ids through
-/// `dictionary`. Key slices view into the dictionary's backing storage;
-/// *value views into `rest`. An id outside the dictionary is Corruption.
-Status DecodeEagerDictPayload(const Slice& rest,
-                              const std::vector<Slice>& dictionary,
-                              std::vector<Slice>* other_keys, Slice* value);
 
 /// Rematerialize a flag-stripped EagerSH/dict payload back into the
 /// standard kEager byte form, encoded straight into `arena`.
@@ -106,8 +93,8 @@ Status DecodeEagerDictPayload(const Slice& rest,
 /// varint(len) || bytes, the exact bytes an EagerSH payload carries per
 /// key — so each id resolves to one verbatim copy with no per-key
 /// re-encoding (chunk blocks store their dictionary in this form already).
-/// Byte-identical to DecodeEagerDictPayload + EncodeEagerPayloadTo, and
-/// allocation-free beyond the arena bump.
+/// Byte-identical to resolving the ids and calling EncodeEagerPayloadTo,
+/// and allocation-free beyond the arena bump.
 Status RematerializeEagerDictPayload(const Slice& rest,
                                      const std::vector<Slice>& dict_wire,
                                      Arena* arena, Slice* out);

@@ -77,7 +77,7 @@ void ChunkWriter::RewriteValues() {
       p += klen;
       raw_key_bytes += wire;
       uint32_t id = dict_index_.Find(dict_, key);
-      if (id == DictKeyIndex::kNotFound) {
+      if (id == KeyIndex::kNotFound) {
         // Check this record's own pending adoptions before minting another
         // id — a payload can repeat a key.
         for (uint32_t j = 0; j < pending_dict_keys_.size(); ++j) {
@@ -87,7 +87,7 @@ void ChunkWriter::RewriteValues() {
           }
         }
       }
-      if (id == DictKeyIndex::kNotFound) {
+      if (id == KeyIndex::kNotFound) {
         id = static_cast<uint32_t>(dict_.size() + pending_dict_keys_.size());
         pending_dict_keys_.push_back(key);
         entry_bytes += wire;

@@ -25,21 +25,29 @@ inline uint64_t AllocationCount() {
 
 }  // namespace test_alloc
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line. Once one is inlined into a caller,
+// GCC pairs std::malloc or std::free with the un-inlined operator on the
+// other side and warns (-Wmismatched-new-delete), although the replaced
+// pair matches.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   test_alloc::Counter().fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 #endif  // ANTIMR_TESTS_ALLOC_COUNTER_H_

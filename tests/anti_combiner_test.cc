@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "anticombine/anti_reducer.h"
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
@@ -26,26 +27,109 @@ class SumCombiner : public Reducer {
   }
 };
 
+// Emits "n=<count>" and then the sum: two records per key, as
+// Query-Suggestion's Combiner emits one record per distinct query.
+class CountAndSumCombiner : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    long total = 0, count = 0;
+    Slice v;
+    while (values->Next(&v)) {
+      total += std::stol(v.ToString());
+      ++count;
+    }
+    ctx->Emit(key, "n=" + std::to_string(count));
+    ctx->Emit(key, std::to_string(total));
+  }
+};
+
+// Joins a key's values with ',' in the order the Combiner receives them.
+class ConcatCombiner : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    std::string joined;
+    Slice v;
+    while (values->Next(&v)) {
+      if (!joined.empty()) joined += ',';
+      joined += v.ToString();
+    }
+    ctx->Emit(key, joined);
+  }
+};
+
+// Sums per key, and from Cleanup emits ("c", number of keys seen).
+class TallyCombiner : public SumCombiner {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    ++keys_;
+    SumCombiner::Reduce(key, values, ctx);
+  }
+  void Cleanup(ReduceContext* ctx) override {
+    ctx->Emit("c", std::to_string(keys_));
+  }
+
+ private:
+  int keys_ = 0;
+};
+
 class NopMapper : public Mapper {
  public:
   void Map(const Slice&, const Slice&, MapContext*) override {}
 };
 
+// Emits (word, "1") for each space-separated word of the input value.
+class WordsMapper : public Mapper {
+ public:
+  void Map(const Slice&, const Slice& value, MapContext* ctx) override {
+    size_t start = 0;
+    for (size_t i = 0; i <= value.size(); ++i) {
+      if (i == value.size() || value[i] == ' ') {
+        ctx->Emit(Slice(value.data() + start, i - start), "1");
+        start = i + 1;
+      }
+    }
+  }
+};
+
+// Partition = first key character digit, mod partitions.
+class DigitPartitioner : public Partitioner {
+ public:
+  int Partition(const Slice& key, int num_partitions) const override {
+    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
+  }
+};
+
+int CompareFirstByte(const Slice& a, const Slice& b) {
+  return BytewiseCompare(Slice(a.data(), a.empty() ? 0 : 1),
+                         Slice(b.data(), b.empty() ? 0 : 1));
+}
+
+// Iterates a borrowed group of (record key, payload) pairs.
 class KeyedPayloadIterator : public ValueIterator {
  public:
-  explicit KeyedPayloadIterator(std::vector<KV> items)
-      : items_(std::move(items)) {}
+  explicit KeyedPayloadIterator(const std::vector<KV>* items)
+      : items_(items) {}
   bool Next(Slice* value) override {
-    if (pos_ >= items_.size()) return false;
-    *value = items_[pos_].value;
+    if (pos_ >= items_->size()) return false;
+    *value = (*items_)[pos_].value;
     ++pos_;
     return true;
   }
-  Slice key() const override { return items_[pos_ - 1].key; }
+  Slice key() const override { return (*items_)[pos_ - 1].key; }
 
  private:
-  std::vector<KV> items_;
+  const std::vector<KV>* items_;
   size_t pos_ = 0;
+};
+
+// Counts emissions without allocating.
+class CountingContext : public ReduceContext {
+ public:
+  void Emit(const Slice&, const Slice&) override { ++records; }
+  size_t records = 0;
 };
 
 std::string Eager(const std::vector<std::string>& other_keys,
@@ -53,6 +137,13 @@ std::string Eager(const std::vector<std::string>& other_keys,
   std::vector<Slice> keys(other_keys.begin(), other_keys.end());
   std::string payload;
   EncodeEagerPayload(keys, value, &payload);
+  return payload;
+}
+
+std::string Lazy(const std::string& input_key,
+                 const std::string& input_value) {
+  std::string payload;
+  EncodeLazyPayload(input_key, input_value, &payload);
   return payload;
 }
 
@@ -76,30 +167,50 @@ DecodedOut DecodeOut(const KV& record) {
   return out;
 }
 
+// Every decoded (key, value) of an output, as key -> value.
+std::map<std::string, std::string> ValuesByKey(const std::vector<KV>& out) {
+  std::map<std::string, std::string> values;
+  for (const KV& kv : out) {
+    DecodedOut d = DecodeOut(kv);
+    for (const std::string& key : d.keys) values[key] = d.value;
+  }
+  return values;
+}
+
 class AntiCombinerTest : public ::testing::Test {
  protected:
+  AntiCombinerTest() {
+    info_.num_reduce_tasks = 1;
+    info_.shuffle_partition = 0;
+    info_.partitioner = &partitioner_;
+    info_.key_cmp = BytewiseCompare;
+    info_.grouping_cmp = BytewiseCompare;
+    info_.metrics = &metrics_;
+  }
+
+  // One combine pass: each inner vector is one Reduce group.
+  void RunInto(const std::vector<std::vector<KV>>& groups,
+               ReduceContext* ctx) {
+    AntiCombiner combiner(combiner_, mapper_);
+    combiner.Setup(info_, ctx);
+    for (const auto& group : groups) {
+      KeyedPayloadIterator it(&group);
+      combiner.Reduce(group.front().key, &it, ctx);
+    }
+    combiner.Cleanup(ctx);
+  }
+
   std::vector<KV> Run(const std::vector<std::vector<KV>>& groups) {
-    AntiCombiner combiner([]() { return std::make_unique<SumCombiner>(); },
-                          []() { return std::make_unique<NopMapper>(); });
-    TaskInfo info;
-    info.num_reduce_tasks = 1;
-    info.shuffle_partition = 0;
-    static HashPartitioner partitioner;
-    info.partitioner = &partitioner;
-    info.key_cmp = BytewiseCompare;
-    info.grouping_cmp = BytewiseCompare;
-    info.metrics = &metrics_;
     std::vector<KV> out;
     CollectingContext ctx(&out);
-    combiner.Setup(info, &ctx);
-    for (const auto& group : groups) {
-      KeyedPayloadIterator it(group);
-      combiner.Reduce(group.front().key, &it, &ctx);
-    }
-    combiner.Cleanup(&ctx);
+    RunInto(groups, &ctx);
     return out;
   }
 
+  ReducerFactory combiner_ = []() { return std::make_unique<SumCombiner>(); };
+  MapperFactory mapper_ = []() { return std::make_unique<NopMapper>(); };
+  HashPartitioner partitioner_;
+  TaskInfo info_;
   JobMetrics metrics_;
 };
 
@@ -149,6 +260,96 @@ TEST_F(AntiCombinerTest, OutputIsKeySorted) {
 
 TEST_F(AntiCombinerTest, EmptyPassEmitsNothing) {
   EXPECT_TRUE(Run({}).empty());
+}
+
+TEST_F(AntiCombinerTest, LazyRecordIsRemappedIntoOwnPartitionOnly) {
+  // Partition 1 of 2 combines. The Lazy record stands for the Map call
+  // over "0a 1b 1c 0d"; only 1b and 1c belong here.
+  static DigitPartitioner digits;
+  info_.partitioner = &digits;
+  info_.num_reduce_tasks = 2;
+  info_.shuffle_partition = 1;
+  mapper_ = []() { return std::make_unique<WordsMapper>(); };
+  auto out =
+      Run({{{"1b", Lazy("in", "0a 1b 1c 0d")}, {"1b", Eager({}, "4")}}});
+  EXPECT_EQ(metrics_.remap_calls, 1u);
+  EXPECT_EQ(ValuesByKey(out),
+            (std::map<std::string, std::string>{{"1b", "5"}, {"1c", "1"}}));
+}
+
+TEST_F(AntiCombinerTest, GroupsSharingARepresentativeComeOutInValueOrder) {
+  // a and b both combine to n=2 and 2: two value groups, both keyed by a.
+  combiner_ = []() { return std::make_unique<CountAndSumCombiner>(); };
+  auto out = Run({{{"a", Eager({"b"}, "1")}, {"a", Eager({"b"}, "1")}}});
+  ASSERT_EQ(out.size(), 2u);
+  DecodedOut first = DecodeOut(out[0]);
+  DecodedOut second = DecodeOut(out[1]);
+  EXPECT_EQ(first.keys, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(first.value, "2");
+  EXPECT_EQ(second.keys, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(second.value, "n=2");
+}
+
+TEST_F(AntiCombinerTest, GroupingComparatorKeepsEachRecordsOwnKey) {
+  // a1 and a2 arrive in one Reduce group, but are combined apart.
+  info_.grouping_cmp = CompareFirstByte;
+  auto out = Run({{{"a1", Eager({}, "1")}, {"a2", Eager({}, "5")}}});
+  EXPECT_EQ(ValuesByKey(out),
+            (std::map<std::string, std::string>{{"a1", "1"}, {"a2", "5"}}));
+}
+
+TEST_F(AntiCombinerTest, ValuesReachCombinerInArrivalOrder) {
+  combiner_ = []() { return std::make_unique<ConcatCombiner>(); };
+  auto out = Run({{{"a", Eager({"c"}, "x")}, {"a", Eager({}, "y")}},
+                  {{"b", Eager({"c"}, "z")}},
+                  {{"c", Eager({}, "w")}}});
+  EXPECT_EQ(ValuesByKey(out),
+            (std::map<std::string, std::string>{
+                {"a", "x,y"}, {"b", "z"}, {"c", "x,z,w"}}));
+}
+
+TEST_F(AntiCombinerTest, CleanupEmissionsAreReEncoded) {
+  // The Combiner's Cleanup emits c=2, which shares its value with a.
+  combiner_ = []() { return std::make_unique<TallyCombiner>(); };
+  auto out = Run({{{"a", Eager({}, "2")}}, {{"b", Eager({}, "5")}}});
+  ASSERT_EQ(out.size(), 2u);
+  DecodedOut first = DecodeOut(out[0]);
+  EXPECT_EQ(first.keys, (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(first.value, "2");
+  EXPECT_EQ(DecodeOut(out[1]).keys, std::vector<std::string>{"b"});
+}
+
+TEST_F(AntiCombinerTest, AllocationsDoNotGrowPerDecodedRecord) {
+  // The same 64 keys, with `per_key` Eager records each: every record also
+  // carries the next two keys. Doubling the records may add vector-growth
+  // steps, but not an allocation per record.
+  auto make_groups = [](int per_key) {
+    std::vector<std::vector<KV>> groups;
+    for (int k = 0; k < 64; ++k) {
+      auto key = [](int i) { return "key" + std::to_string(100 + i); };
+      std::vector<KV> group;
+      for (int r = 0; r < per_key; ++r) {
+        group.push_back({key(k), Eager({key(k + 1), key(k + 2)}, "1")});
+      }
+      groups.push_back(std::move(group));
+    }
+    return groups;
+  };
+  auto allocations = [this](const std::vector<std::vector<KV>>& groups) {
+    CountingContext ctx;
+    const uint64_t before = test_alloc::AllocationCount();
+    RunInto(groups, &ctx);
+    EXPECT_GT(ctx.records, 0u);
+    return test_alloc::AllocationCount() - before;
+  };
+  const auto small = make_groups(50);
+  const auto large = make_groups(100);
+  allocations(small);  // warm-up: first-use allocations of the runtime
+  const uint64_t small_allocs = allocations(small);
+  const uint64_t large_allocs = allocations(large);
+  EXPECT_LE(large_allocs, small_allocs + 16)
+      << "3200 more decoded records cost " << large_allocs - small_allocs
+      << " more allocations";
 }
 
 }  // namespace

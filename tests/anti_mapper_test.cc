@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
 
@@ -255,6 +256,76 @@ TEST_F(AntiMapperTest, MetricsCountLogicalOutput) {
   EXPECT_EQ(metrics_.plain_records, 1u);  // 2c stands alone
   EXPECT_EQ(metrics_.lazy_records, 0u);
 }
+
+// Emits, for every input, records for three partitions under the
+// DigitPartitioner: 1a/1b share a value (EagerSH); 2a stands alone
+// (flagged-plain), its value changing from call to call so that it stays
+// alone across a window too; 3k0..3k2 carry long distinct values, so
+// resending a short input is smaller (LazySH). All bytes are built up
+// front.
+class ThreeWayMapper : public Mapper {
+ public:
+  ThreeWayMapper() : script_({{"1a", "s"}, {"1b", "s"}}) {
+    for (int i = 0; i < 3; ++i) {
+      script_.push_back(
+          {"3k" + std::to_string(i),
+           "distinct" + std::to_string(i) + std::string(60, 'x')});
+    }
+    for (int i = 0; i < 8; ++i) {
+      plain_values_.push_back("p" + std::to_string(i));
+    }
+  }
+  void Map(const Slice&, const Slice&, MapContext* ctx) override {
+    for (const KV& kv : script_) ctx->Emit(kv.key, kv.value);
+    ctx->Emit("2a", plain_values_[calls_++ % plain_values_.size()]);
+  }
+
+ private:
+  std::vector<KV> script_;
+  std::vector<std::string> plain_values_;
+  size_t calls_ = 0;
+};
+
+// Counts emissions without allocating.
+class CountingMapContext : public MapContext {
+ public:
+  void Emit(const Slice&, const Slice&) override { ++records; }
+  size_t records = 0;
+};
+
+class AntiMapperAllocationTest : public AntiMapperTest,
+                                 public ::testing::WithParamInterface<int> {};
+
+TEST_P(AntiMapperAllocationTest, SteadyStateMapCallsDoNotAllocate) {
+  AntiCombineOptions options = AntiCombineOptions::Unrestricted();
+  options.cross_call_window = GetParam();
+  AntiMapper anti([]() { return std::make_unique<ThreeWayMapper>(); },
+                  options, /*allow_lazy=*/true);
+  TaskInfo info;
+  info.num_reduce_tasks = 4;
+  info.partitioner = &partitioner_;
+  info.key_cmp = BytewiseCompare;
+  info.grouping_cmp = BytewiseCompare;
+  info.metrics = &metrics_;
+  CountingMapContext ctx;
+  const Slice input_key("ik");
+  const Slice input_value("input-value-xx");
+  anti.Setup(info, &ctx);
+  for (int i = 0; i < 16; ++i) anti.Map(input_key, input_value, &ctx);
+
+  const uint64_t before = test_alloc::AllocationCount();
+  for (int i = 0; i < 1000; ++i) anti.Map(input_key, input_value, &ctx);
+  const uint64_t allocations = test_alloc::AllocationCount() - before;
+  anti.Cleanup(&ctx);
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(metrics_.eager_records, 0u);
+  EXPECT_GT(metrics_.plain_records, 0u);
+  EXPECT_GT(metrics_.lazy_records, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PerCallAndWindow, AntiMapperAllocationTest,
+                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace anticombine

@@ -56,7 +56,9 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
       std::string min_key;
       const bool has = shared.PeekMinKey(&min_key);
       EXPECT_EQ(has, !model.empty());
-      if (has) EXPECT_EQ(min_key, model.begin()->first);
+      if (has) {
+        EXPECT_EQ(min_key, model.begin()->first);
+      }
     } else {
       // Pop: the minimal group, as a multiset of values.
       std::string group_key;
@@ -84,7 +86,9 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
   std::string group_key;
   std::vector<std::string> values;
   while (shared.PopMinKeyValues(&group_key, &values)) {
-    if (!first) EXPECT_GT(group_key, last_key);
+    if (!first) {
+      EXPECT_GT(group_key, last_key);
+    }
     first = false;
     last_key = group_key;
     std::multiset<std::string> expected;
