@@ -43,6 +43,7 @@ class RecordingReducer : public Reducer {
   struct Call {
     std::string key;
     std::vector<std::string> values;
+    std::vector<std::string> record_keys;  // values->key() after each Next
   };
 
   explicit RecordingReducer(std::vector<Call>* log) : log_(log) {}
@@ -52,7 +53,10 @@ class RecordingReducer : public Reducer {
     Call call;
     call.key = key.ToString();
     Slice v;
-    while (values->Next(&v)) call.values.push_back(v.ToString());
+    while (values->Next(&v)) {
+      call.values.push_back(v.ToString());
+      call.record_keys.push_back(values->key().ToString());
+    }
     log_->push_back(std::move(call));
   }
 
@@ -186,6 +190,21 @@ TEST_F(AntiReducerTest, SharedAndDirectValuesMergeForSameKey) {
   EXPECT_NE(std::find(log_[1].values.begin(), log_[1].values.end(),
                       "from-stream"),
             log_[1].values.end());
+}
+
+TEST_F(AntiReducerTest, OriginalReduceSeesNoRecordKeyOnEitherPath) {
+  auto reducer = MakeReducer();
+  // "1a" takes the plain path; "1c" merges a Shared value with a stream
+  // value. Neither hands the original Reduce per-record keys.
+  Call(reducer.get(), {{"1a", EagerValue({}, "plain")}});
+  Call(reducer.get(), {{"1b", EagerValue({"1c"}, "from-shared")}});
+  Call(reducer.get(), {{"1c", EagerValue({}, "from-stream")}});
+  reducer->Cleanup(&ctx_);
+  ASSERT_EQ(log_.size(), 3u);
+  EXPECT_EQ(log_[0].key, "1a");
+  EXPECT_EQ(log_[0].record_keys, std::vector<std::string>{""});
+  EXPECT_EQ(log_[2].key, "1c");
+  EXPECT_EQ(log_[2].record_keys, (std::vector<std::string>{"", ""}));
 }
 
 TEST_F(AntiReducerTest, LazyRemapKeepsOnlyThisPartition) {
