@@ -105,9 +105,9 @@ int main() {
               improvement);
 
   WriteJsonReport("BENCH_e1.json", "bench_e1_overhead",
-                  {{"original", orig},
-                   {"adaptive_sh", anti},
-                   {"barrier", barrier},
-                   {"pipelined", pipelined}});
+                  {{"original", orig, ""},
+                   {"adaptive_sh", anti, ""},
+                   {"barrier", barrier, ""},
+                   {"pipelined", pipelined, ""}});
   return 0;
 }

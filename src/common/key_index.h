@@ -13,13 +13,12 @@ namespace antimr {
 
 /// \brief Open-addressing key→id index over a vector of distinct keys.
 ///
-/// Hot loops probe this once per key (the chunk writer's dictionary
-/// rewrite, the AntiCombiner's decode), so it is a flat pow2 table of
-/// (hash32, id) slots with linear probing: one hash, a masked index, and
-/// inline verification against the entry vector, instead of
-/// std::unordered_map's modulo and bucket chain. Entries must be unique and
-/// must outlive the index, which stores only ids into them. Call Rebuild
-/// before the first Find or Insert.
+/// The AntiCombiner's decode loop probes this once per key, so it is a
+/// flat pow2 table of (hash32, id) slots with linear probing: one hash, a
+/// masked index, and inline verification against the entry vector, instead
+/// of std::unordered_map's modulo and bucket chain. Entries must be unique
+/// and must outlive the index, which stores only ids into them. Call
+/// Rebuild before the first Find or Insert.
 class KeyIndex {
  public:
   static constexpr uint32_t kNotFound = 0xffffffffu;

@@ -116,6 +116,23 @@ TEST(Encoding, RejectsBadFlag) {
                   .IsCorruption());
 }
 
+// Flag 2 once marked a dictionary-coded EagerSH payload of a storage format
+// that no longer exists. Such bytes are now stale input: they must be
+// rejected as Corruption, never decoded as another encoding.
+TEST(Encoding, RejectsStaleFlagTwo) {
+  // flag=2, one dictionary id (0), then the shared value.
+  const std::string payload("\x02\x01\x00value", 8);
+  Encoding encoding;
+  Slice rest;
+  const Status st = GetEncoding(payload, &encoding, &rest);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  for (const char flag : {'\x02', '\x03', '\x7f', '\xff'}) {
+    const std::string bare(1, flag);
+    EXPECT_TRUE(GetEncoding(bare, &encoding, &rest).IsCorruption())
+        << "flag " << static_cast<int>(static_cast<uint8_t>(flag));
+  }
+}
+
 TEST(Encoding, RejectsTruncatedEagerKeys) {
   std::string payload;
   EncodeEagerPayload(std::vector<Slice>{Slice("a-long-key-name")}, Slice("v"),

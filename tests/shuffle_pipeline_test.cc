@@ -54,7 +54,7 @@ TEST_P(BlockSegmentTest, MultiBlockRoundTrip) {
       WriteTestSegment(env_.get(), "seg", records, codec, 1024, &wr).ok());
   EXPECT_GT(wr.blocks, 10u) << "1 KiB blocks must cut this segment often";
 
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "seg", codec, {}, &reader).ok());
   size_t i = 0;
   while (reader->Valid()) {
@@ -96,7 +96,7 @@ TEST(BlockSegment, ByteFlipSurfacesCorruptionWithContext) {
   ASSERT_TRUE(f->Append(data).ok());
   ASSERT_TRUE(f->Close().ok());
 
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   Status open = OpenSegmentReader(env.get(), "seg", codec, {}, &reader);
   Status st = open;
   if (open.ok()) {
@@ -111,6 +111,33 @@ TEST(BlockSegment, ByteFlipSurfacesCorruptionWithContext) {
   EXPECT_NE(st.ToString().find("seg"), std::string::npos) << st.ToString();
   EXPECT_NE(st.ToString().find("block"), std::string::npos) << st.ToString();
   EXPECT_NE(st.ToString().find("crc"), std::string::npos) << st.ToString();
+}
+
+// Segments that start with "ACH1", the magic of a removed columnar chunk
+// format, are stale input: opening one, from storage or from fetched
+// frames, must fail with a clean Corruption naming the segment.
+TEST(BlockSegment, StaleChunkMagicSurfacesCorruption) {
+  auto env = NewMemEnv();
+  const Codec* codec = GetCodec(CodecType::kNone);
+  // The magic, then bytes shaped like a block header length and payload.
+  const std::string stale("ACH1\x10\x00\x00\x00\x05\x00\x00\x01key", 15);
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(env->NewWritableFile("stale_seg", &f).ok());
+  ASSERT_TRUE(f->Append(stale).ok());
+  ASSERT_TRUE(f->Close().ok());
+
+  std::unique_ptr<BlockRunReader> reader;
+  Status st = OpenSegmentReader(env.get(), "stale_seg", codec, {}, &reader);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("stale_seg"), std::string::npos)
+      << st.ToString();
+
+  FetchedSegment fetched;
+  ASSERT_TRUE(FetchSegmentFrames(env.get(), "stale_seg", 0, &fetched).ok());
+  st = OpenFetchedSegment(fetched, codec, kShuffleReadaheadBlocks, &reader);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("stale_seg"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(BlockSegment, ReduceTaskFailsCleanlyOnCorruptSegment) {
@@ -165,7 +192,7 @@ TEST(BlockSegment, ReaderMemoryBoundedByReadahead) {
 
   SegmentReadOptions opts;
   opts.readahead_blocks = 2;
-  std::unique_ptr<SegmentStream> reader;
+  std::unique_ptr<BlockRunReader> reader;
   ASSERT_TRUE(OpenSegmentReader(env.get(), "seg", codec, opts, &reader).ok());
   size_t n = 0;
   while (reader->Valid()) {

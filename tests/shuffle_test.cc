@@ -30,7 +30,7 @@ TEST_P(ShuffleTest, SegmentRoundTrip) {
   EXPECT_GT(write_result.raw_bytes, 0u);
   EXPECT_GT(write_result.blocks, 0u);
 
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "seg", codec, {}, &out).ok());
   size_t i = 0;
   while (out->Valid()) {
@@ -64,7 +64,7 @@ TEST_P(ShuffleTest, FetchedSegmentRoundTrip) {
   EXPECT_EQ(fetched.fetched_bytes, write_result.stored_bytes);
   EXPECT_EQ(fetched.file, "seg");
 
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(
       OpenFetchedSegment(fetched, codec, kShuffleReadaheadBlocks, &out).ok());
   size_t i = 0;
@@ -87,7 +87,7 @@ TEST_P(ShuffleTest, EmptySegment) {
   ASSERT_TRUE(
       WriteSegment(env_.get(), "empty", &in, codec, &nanos, &result).ok());
   EXPECT_EQ(result.records, 0u);
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   ASSERT_TRUE(OpenSegmentReader(env_.get(), "empty", codec, {}, &out).ok());
   EXPECT_FALSE(out->Valid());
 }
@@ -113,7 +113,7 @@ TEST(ShuffleNames, AreUniquePerTaskPartitionAndSpill) {
 
 TEST(ShuffleCompression, MissingSegmentIsError) {
   auto env = NewMemEnv();
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   EXPECT_FALSE(
       OpenSegmentReader(env.get(), "nope", GetCodec(CodecType::kNone), {}, &out)
           .ok());
@@ -125,7 +125,7 @@ TEST(ShuffleCompression, CorruptSegmentIsError) {
   ASSERT_TRUE(env->NewWritableFile("bad", &f).ok());
   ASSERT_TRUE(f->Append("this is not gzip").ok());
   ASSERT_TRUE(f->Close().ok());
-  std::unique_ptr<SegmentStream> out;
+  std::unique_ptr<BlockRunReader> out;
   Status st =
       OpenSegmentReader(env.get(), "bad", GetCodec(CodecType::kGzip), {}, &out);
   EXPECT_FALSE(st.ok());

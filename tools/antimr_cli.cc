@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -90,12 +89,6 @@ int Usage() {
       "  --codec=none|snappy|deflate|gzip|bzip2    (default none)\n"
       "  --records=N --maps=N --reduces=N --seed=N\n"
       "  --disk-mbps=N --net-mbps=N   simulated hardware (default off)\n"
-      "  --row-format=row|columnar    storage layout of spills and shuffle\n"
-      "                        segments (default: the spec's, normally row)\n"
-      "  --chunk-block-size=BYTES  columnar block target size (default:\n"
-      "                        the shuffle block size)\n"
-      "  --chunk-codec=none|snappy|deflate|gzip|bzip2  per-column codec\n"
-      "                        cap for columnar chunks (default: --codec)\n"
       "  --max-task-attempts=N total executions allowed per task; N>1\n"
       "                        retries transient (I/O) task failures with\n"
       "                        capped exponential backoff (default 1)\n"
@@ -188,26 +181,16 @@ int Usage() {
   return 2;
 }
 
-/// Storage-format knobs shared by the run and pipeline commands. Parsed into
-/// the per-run override optionals (RunOptions / ExecutorOptions), so an
-/// unset flag leaves the stage spec's own choice in force.
-Status ParseFormatFlags(const Flags& flags,
-                        std::optional<RecordFormat>* record_format,
-                        std::optional<size_t>* chunk_block_bytes,
-                        std::optional<CodecType>* chunk_codec) {
-  if (flags.Has("row-format")) {
-    RecordFormat format = RecordFormat::kRow;
-    ANTIMR_RETURN_NOT_OK(
-        RecordFormatFromName(flags.GetString("row-format", "row"), &format));
-    *record_format = format;
-  }
-  if (flags.Has("chunk-block-size")) {
-    *chunk_block_bytes = flags.GetUint("chunk-block-size", 0);
-  }
-  if (flags.Has("chunk-codec")) {
-    const auto codec = CodecTypeFromName(flags.GetString("chunk-codec", ""));
-    if (!codec.ok()) return codec.status();
-    *chunk_codec = codec.value();
+/// Storage-layout flags of the removed columnar segment format. Rejected
+/// rather than ignored: spills and shuffle segments are always block-framed
+/// row runs, so a caller still passing one would get a silent no-op.
+Status RejectRemovedFlags(const Flags& flags) {
+  for (const char* name : {"row-format", "chunk-block-size", "chunk-codec"}) {
+    if (flags.Has(name)) {
+      return Status::InvalidArgument(
+          std::string("--") + name +
+          " is no longer supported (segments are always row runs)");
+    }
   }
   return Status::OK();
 }
@@ -332,9 +315,6 @@ int SkewRunCommand(const Flags& flags, const JobSpec& spec,
   exec_options.num_workers = run.num_workers;
   exec_options.hardware = run.hardware;
   exec_options.max_task_attempts = run.max_task_attempts;
-  exec_options.record_format = run.record_format;
-  exec_options.chunk_block_bytes = run.chunk_block_bytes;
-  exec_options.chunk_codec = run.chunk_codec;
   exec_options.collect_outputs = flags.Has("output-hash");
   engine::Executor executor(exec_options);
   engine::PlanResult result;
@@ -391,15 +371,6 @@ int RunCommand(const Flags& flags) {
   run.collect_task_metrics = flags.Has("top-tasks");
   run.max_task_attempts =
       static_cast<int>(flags.GetUint("max-task-attempts", 1));
-  {
-    const Status st = ParseFormatFlags(flags, &run.record_format,
-                                       &run.chunk_block_bytes,
-                                       &run.chunk_codec);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return Usage();
-    }
-  }
 
   // PageRank is iterative: either one multi-stage plan (dag, the default)
   // or the legacy one-job-per-iteration driver loop.
@@ -425,9 +396,6 @@ int RunCommand(const Flags& flags) {
       exec_options.num_workers = run.num_workers;
       exec_options.hardware = run.hardware;
       exec_options.max_task_attempts = run.max_task_attempts;
-      exec_options.record_format = run.record_format;
-      exec_options.chunk_block_bytes = run.chunk_block_bytes;
-      exec_options.chunk_codec = run.chunk_codec;
       engine::Executor executor(exec_options);
       engine::PlanResult plan_result;
       st = workloads::RunPageRankDag(cfg, GraphGenerator(gc).Generate(),
@@ -596,13 +564,6 @@ int PipelineCommand(const Flags& flags) {
   exec_options.collect_task_metrics = flags.Has("top-tasks");
   exec_options.max_task_attempts =
       static_cast<int>(flags.GetUint("max-task-attempts", 1));
-  st = ParseFormatFlags(flags, &exec_options.record_format,
-                        &exec_options.chunk_block_bytes,
-                        &exec_options.chunk_codec);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return Usage();
-  }
   engine::Executor executor(exec_options);
   engine::PlanResult result;
   st = executor.Run(plan, &result);
@@ -1317,6 +1278,10 @@ int Dispatch(const Flags& flags, const std::string& command) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   if (flags.positional().empty()) return Usage();
+  if (const Status st = RejectRemovedFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return Usage();
+  }
 
   const std::string trace_file = flags.GetString("trace", "");
   if (!trace_file.empty()) {

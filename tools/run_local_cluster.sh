@@ -38,7 +38,12 @@ COORD_PID=""
 # launch and the final wait used to orphan the coordinator (and thereby its
 # listen port) and leak WORK_DIR.
 cleanup() {
-  for pid in $WORKER_PIDS; do kill "$pid" 2>/dev/null || true; done
+  # SIGCONT first: a worker frozen by the serve-mode admission check would
+  # otherwise hold SIGTERM pending forever.
+  for pid in $WORKER_PIDS; do
+    kill -CONT "$pid" 2>/dev/null || true
+    kill "$pid" 2>/dev/null || true
+  done
   if [ -n "$COORD_PID" ]; then kill "$COORD_PID" 2>/dev/null || true; fi
   rm -rf "$WORK_DIR"
 }
@@ -120,6 +125,11 @@ if [ "$WORKLOAD" = "serve" ]; then
 
   # Two tenants, one cluster: pool "small" (weight 3) gets 6 wordcounts,
   # pool "big" (weight 1) gets 2 theta-joins, all in flight at once.
+  #
+  # The workers are frozen (SIGSTOP) while the 8 jobs are submitted: no task
+  # can finish, so every admitted job stays running until the last submit
+  # lands, however quickly the small wordcounts would otherwise complete.
+  kill -STOP $WORKER_PIDS
   SUB_PIDS=""
   i=0
   while [ "$i" -lt 6 ]; do
@@ -139,17 +149,20 @@ if [ "$WORKLOAD" = "serve" ]; then
   done
 
   # All 8 must be admitted concurrently (max-concurrent-jobs=8, quotas
-  # 6x1 + 2x1 slots within the 8-slot pool quotas).
+  # 6x1 + 2x1 slots within the 8-slot pool quotas). The workers resume
+  # (SIGCONT) once the table shows 8 running, or after 3 s: well inside the
+  # daemon's 4 s heartbeat timeout, so no frozen worker is declared lost.
+  now_ms() { echo $(($(date +%s%N) / 1000000)); }
+  DEADLINE=$(($(now_ms) + 3000))
   PEAK=0
-  i=0
-  while [ "$i" -lt 100 ]; do
+  while [ "$(now_ms)" -lt "$DEADLINE" ]; do
     RUNNING=$("$CLI" jobs --connect="$JOBS_ADDR" 2>/dev/null \
               | grep -c "state=running" || true)
     [ "$RUNNING" -gt "$PEAK" ] && PEAK=$RUNNING
     [ "$PEAK" -ge 8 ] && break
     sleep 0.05
-    i=$((i + 1))
   done
+  kill -CONT $WORKER_PIDS
 
   SUB_FAIL=0
   for pid in $SUB_PIDS; do wait "$pid" || SUB_FAIL=1; done
