@@ -157,12 +157,13 @@ PathStats RunZeroCopyPath(const Workload& w) {
 
   MapOutputBuffer buffer(kPartitions, BytewiseCompare);
   for (const auto& [k, v] : w.records) {
-    buffer.Add(PartitionOf(k), k, v);
+    buffer.Add(k, v);
     stats.payload_bytes += k.size() + v.size();
     ++stats.records;
   }
   // Interning is the path's one materialization: key+value into the arena.
   stats.bytes_copied += buffer.arena_bytes_used();
+  ANTIMR_CHECK_OK(buffer.AssignPartitions(HashPartitioner()));
   buffer.Sort();
   for (int p = 0; p < kPartitions; ++p) {
     auto stream = buffer.PartitionStream(p);

@@ -13,6 +13,22 @@ namespace antimr {
 namespace anticombine {
 
 namespace {
+// Bumped once per reduce task or map-side combine pass, by its remap count,
+// so no process-wide atomic is touched per record.
+obs::Counter* RemapCounter() {
+  static obs::Counter* const counter =
+      obs::MetricsRegistry::Global().GetCounter(
+          "antimr_remap_calls_total",
+          "LazySH decodes that re-executed the original Map");
+  return counter;
+}
+
+// Sum of the phases timed inside AntiReducer's decode window, which the
+// window subtracts to stay exclusive of them.
+uint64_t NestedInDecode(const JobMetrics& m) {
+  return m.cpu.remap + m.cpu.shared + m.cpu.combine;
+}
+
 std::string UniqueSharedPrefix(int task_id) {
   static std::atomic<uint64_t> counter{0};
   return "shared_r" + std::to_string(task_id) + "_" +
@@ -93,30 +109,28 @@ void AntiReducer::DrainShared(const Slice& key, bool to_end,
 }
 
 void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
-  JobMetrics* m = info_.metrics;
   Encoding encoding;
   Slice rest;
   ANTIMR_CHECK_OK(GetEncoding(payload, &encoding, &rest));
 
   if (encoding == Encoding::kEager) {
-    const uint64_t t0 = NowNanos();
     decode_keys_.clear();
     Slice value;
     ANTIMR_CHECK_OK(DecodeEagerPayload(rest, &decode_keys_, &value));
-    if (m != nullptr) m->cpu.decode += NowNanos() - t0;
     shared_->Add(rep_key, value);
     for (const Slice& key : decode_keys_) shared_->Add(key, value);
     return;
   }
 
-  // LazySH: re-execute the original Map and Partition, keeping only the
-  // records assigned to this reduce task (Algorithm 4, lines 6-10).
   Slice input_key, input_value;
-  {
-    const uint64_t t0 = NowNanos();
-    ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-    if (m != nullptr) m->cpu.decode += NowNanos() - t0;
-  }
+  ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
+  Remap(input_key, input_value);
+}
+
+void AntiReducer::Remap(const Slice& input_key, const Slice& input_value) {
+  // Re-execute the original Map and Partition, keeping only the records
+  // assigned to this reduce task (Algorithm 4, lines 6-10).
+  JobMetrics* m = info_.metrics;
   remap_capture_.Clear();
   const uint64_t t0 = NowNanos();
   o_mapper_->Map(input_key, input_value, &remap_capture_);
@@ -130,12 +144,7 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
     m->cpu.remap += NowNanos() - t0;
     m->remap_calls += 1;
   }
-  // One Inc per Lazy record is dwarfed by the Map re-execution it tallies.
-  static obs::Counter* const remap_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "antimr_remap_calls_total",
-          "LazySH decodes that re-executed the original Map");
-  remap_counter->Inc();
+  ++remap_calls_;
   for (size_t i = 0; i < remap_capture_.size(); ++i) {
     if (mine_[i]) shared_->Add(remap_capture_.key(i), remap_capture_.value(i));
   }
@@ -149,6 +158,10 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
 
   // Lines 6-10: decode every incoming record. Decoded keys are always >=
   // the representative key, so nothing lands behind the cursor.
+  //
+  // The loop is timed once into cpu.decode, Shared inserts and value pulls
+  // included; remap, and the combines and spills Shared times itself, are
+  // subtracted so the phases stay disjoint.
   //
   // Fast path: flagged-plain records (EagerSH with an empty key set) whose
   // group needs no Shared interaction are accumulated locally — the common
@@ -167,6 +180,9 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
     local_arena_.Clear();
   };
 
+  JobMetrics* m = info_.metrics;
+  const uint64_t nested_before = m != nullptr ? NestedInDecode(*m) : 0;
+  const uint64_t decode_start = NowNanos();
   Slice payload;
   while (values->Next(&payload)) {
     const Slice record_key = values->key();
@@ -199,6 +215,11 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
       flush_locals();
     }
   }
+  if (m != nullptr) {
+    const uint64_t window = NowNanos() - decode_start;
+    const uint64_t nested = NestedInDecode(*m) - nested_before;
+    m->cpu.decode += window > nested ? window - nested : 0;
+  }
 
   // Lines 11-12: run the original Reduce on the union of the decoded
   // records for this group (regular input and Shared are merged inside
@@ -225,6 +246,8 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
   // Process everything left in Shared (the cleanup loop of Section 3.2),
   // then shut down the wrapped objects.
   DrainShared(Slice(), /*to_end=*/true, ctx);
+  RemapCounter()->Inc(remap_calls_);
+  remap_calls_ = 0;
   o_reducer_->Cleanup(ctx);
   remap_capture_.Clear();
   o_mapper_->Cleanup(&remap_capture_);
@@ -290,6 +313,7 @@ void AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
   remap_capture_.Clear();
   o_mapper_->Map(input_key, input_value, &remap_capture_);
   if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
+  ++pass_remap_calls_;
   for (const RecordRef& rec : remap_capture_.records()) {
     if (info_.partitioner->Partition(rec.key, info_.num_reduce_tasks) ==
         info_.shuffle_partition) {
@@ -344,6 +368,8 @@ void AntiCombiner::Cleanup(ReduceContext* ctx) {
     o_combiner_->Reduce(keys_[id], &it, &combined_);
   }
   o_combiner_->Cleanup(&combined_);
+  RemapCounter()->Inc(pass_remap_calls_);
+  pass_remap_calls_ = 0;
 
   // Re-encode with EagerSH: keys whose combined values are equal collapse
   // into one record. (Representative key, value) order keeps the segment

@@ -43,8 +43,14 @@ class AntiReducer : public Reducer {
   /// drains everything (the cleanup path).
   void DrainShared(const Slice& key, bool to_end, ReduceContext* ctx);
 
-  /// Decode one incoming record into Shared.
+  /// Decode one incoming record into Shared. Untimed: Reduce times its
+  /// whole decode loop once.
   void DecodeValue(const Slice& rep_key, const Slice& payload);
+
+  /// LazySH decode: re-execute the original Map and Partition on one input
+  /// record and add the records this task owns to Shared. Timed per call
+  /// into cpu.remap, the grain of the map side's map_fn.
+  void Remap(const Slice& input_key, const Slice& input_value);
 
   ReducerFactory o_reducer_factory_;
   MapperFactory o_mapper_factory_;
@@ -68,6 +74,9 @@ class AntiReducer : public Reducer {
   std::vector<Slice> decode_keys_;
   std::vector<std::string> group_values_;
   std::vector<bool> mine_;
+  /// Remap calls of this task, added to antimr_remap_calls_total once, at
+  /// Cleanup.
+  uint64_t remap_calls_ = 0;
 };
 
 /// \brief Anti-Combining-aware Combiner wrapper.
@@ -114,6 +123,7 @@ class AntiCombiner : public Reducer {
   std::vector<uint32_t> pair_keys_;  // decoded (key id, value) pairs, in
   std::vector<Slice> pair_values_;   //   arrival order
   std::vector<Slice> decode_keys_;
+  uint64_t pass_remap_calls_ = 0;    // LazySH decodes of this pass
 
   // Cleanup scratch.
   std::vector<uint32_t> key_ends_;  // end of each key's bucket in buckets_

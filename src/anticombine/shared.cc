@@ -63,17 +63,13 @@ Shared::~Shared() {
 }
 
 void Shared::Add(const Slice& key, const Slice& value) {
-  uint64_t* shared_nanos =
-      options_.metrics ? &options_.metrics->cpu.shared : nullptr;
-  uint64_t local = 0;
-  {
-    ScopedTimer t(shared_nanos ? shared_nanos : &local);
-    AddInternal(key, value, /*allow_combine=*/true);
-    if (options_.metrics) options_.metrics->shared_insertions += 1;
-    if (memory_bytes_ > options_.memory_limit_bytes) {
-      SpillToDisk();
-      MaybeMergeSpills();
-    }
+  // No per-insert timer: the caller's decode window covers inserts. The
+  // rare spill and spill merge time themselves.
+  AddInternal(key, value, /*allow_combine=*/true);
+  if (options_.metrics) options_.metrics->shared_insertions += 1;
+  if (memory_bytes_ > options_.memory_limit_bytes) {
+    SpillToDisk();
+    MaybeMergeSpills();
   }
 }
 
@@ -129,6 +125,8 @@ void Shared::CombineKey(const Slice& key, std::vector<std::string>* values) {
 
 void Shared::SpillToDisk() {
   if (table_.empty()) return;
+  uint64_t local = 0;
+  ScopedTimer t(options_.metrics ? &options_.metrics->cpu.shared : &local);
   const std::string fname = options_.file_prefix + "_shared_spill_" +
                             std::to_string(spill_counter_++);
   std::unique_ptr<WritableFile> file;
@@ -175,6 +173,8 @@ void Shared::MaybeMergeSpills() {
   if (spills_.size() <= static_cast<size_t>(options_.spill_merge_threshold)) {
     return;
   }
+  uint64_t local = 0;
+  ScopedTimer t(options_.metrics ? &options_.metrics->cpu.shared : &local);
   const std::string fname = options_.file_prefix + "_shared_spill_" +
                             std::to_string(spill_counter_++);
   {

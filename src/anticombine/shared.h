@@ -49,6 +49,8 @@ class Shared {
   Shared& operator=(const Shared&) = delete;
 
   /// Insert one decoded record; may trigger combining and/or a spill.
+  /// Untimed; the combine (cpu.combine) and the spill or spill merge
+  /// (cpu.shared) it may trigger time themselves.
   void Add(const Slice& key, const Slice& value);
 
   /// True when no records remain (memory and spills).

@@ -116,8 +116,8 @@ class MapContext {
   virtual void Emit(const Slice& key, const Slice& value) = 0;
 
   /// Emit several records at once. Identical to calling Emit per record;
-  /// batch-aware sinks (MapOutputBuffer) override it to amortize partition
-  /// dispatch and buffer bookkeeping.
+  /// batch-aware sinks (the map task's output buffer) override it to
+  /// amortize buffer bookkeeping.
   virtual void EmitBatch(const RecordBatch& batch) {
     for (const RecordRef& r : batch) Emit(r.key, r.value);
   }

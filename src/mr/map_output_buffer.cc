@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace antimr {
 
@@ -45,26 +46,36 @@ MapOutputBuffer::MapOutputBuffer(int num_partitions, KeyComparator key_cmp)
   assert(num_partitions_ > 0);
 }
 
-void MapOutputBuffer::Add(int partition, const Slice& key,
-                          const Slice& value) {
-  assert(partition >= 0 && partition < num_partitions_);
+void MapOutputBuffer::Add(const Slice& key, const Slice& value) {
   const RecordRef rec = arena_.InternRecord(key, value);
   Entry e;
   e.base = rec.key.data();
   e.key_len = static_cast<uint32_t>(key.size());
   e.val_len = static_cast<uint32_t>(value.size());
-  e.partition = partition;
+  e.partition = 0;
   entries_.push_back(e);
   sorted_ = false;
 }
 
-void MapOutputBuffer::AddBatch(const RecordBatch& batch,
-                               const std::vector<int>& partitions) {
-  assert(batch.size() == partitions.size());
+void MapOutputBuffer::AddBatch(const RecordBatch& batch) {
   entries_.reserve(entries_.size() + batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Add(partitions[i], batch[i].key, batch[i].value);
+  for (const RecordRef& r : batch) Add(r.key, r.value);
+}
+
+Status MapOutputBuffer::AssignPartitions(const Partitioner& partitioner) {
+  sorted_ = false;
+  for (Entry& e : entries_) {
+    const int p = partitioner.Partition(KeyOf(e), num_partitions_);
+    // Checked in every build: Sort would silently drop a negative partition
+    // and fold one >= num_partitions_ into the last.
+    if (p < 0 || p >= num_partitions_) {
+      return Status::InvalidArgument(
+          "partitioner returned partition " + std::to_string(p) +
+          " for " + std::to_string(num_partitions_) + " reduce tasks");
+    }
+    e.partition = p;
   }
+  return Status::OK();
 }
 
 size_t MapOutputBuffer::memory_usage() const {

@@ -1,9 +1,9 @@
 // In-memory map output collection: a chunked arena plus a record index,
-// sorted by (partition, key) before each spill — the scaled-down analog of
-// Hadoop's io.sort.mb circular buffer. Records are interned once at Emit
-// time and flow out as RecordRef views; chunked storage means growth never
-// re-copies already-buffered bytes (unlike the old std::string arena, whose
-// doubling realloc moved every record).
+// partitioned in one pass and sorted by (partition, key) before each spill —
+// the scaled-down analog of Hadoop's io.sort.mb circular buffer. Records are
+// interned once at Emit time and flow out as RecordRef views; chunked
+// storage means growth never re-copies already-buffered bytes (unlike the
+// old std::string arena, whose doubling realloc moved every record).
 #ifndef ANTIMR_MR_MAP_OUTPUT_BUFFER_H_
 #define ANTIMR_MR_MAP_OUTPUT_BUFFER_H_
 
@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/status.h"
 #include "io/merger.h"
 #include "io/run_file.h"
+#include "mr/api.h"
 
 namespace antimr {
 
@@ -23,13 +25,20 @@ class MapOutputBuffer {
  public:
   MapOutputBuffer(int num_partitions, KeyComparator key_cmp);
 
-  /// Append one record destined for `partition`.
-  void Add(int partition, const Slice& key, const Slice& value);
+  /// Append one record. Its partition is assigned later, by
+  /// AssignPartitions.
+  void Add(const Slice& key, const Slice& value);
 
-  /// Append a whole batch, with `partitions[i]` the target of `batch[i]`.
-  /// One index reservation for the lot; bytes are interned record by record
-  /// as in Add.
-  void AddBatch(const RecordBatch& batch, const std::vector<int>& partitions);
+  /// Append a whole batch. One index reservation for the lot; bytes are
+  /// interned record by record as in Add.
+  void AddBatch(const RecordBatch& batch);
+
+  /// Assign every buffered record its partition in one pass over the
+  /// index. Fails with InvalidArgument, naming the value and the partition
+  /// count, when `partitioner` returns a partition outside
+  /// [0, num_partitions); the buffer is then unsorted and must not be
+  /// spilled. Must be called before Sort.
+  Status AssignPartitions(const Partitioner& partitioner);
 
   /// Approximate bytes held (payload + per-record index overhead).
   size_t memory_usage() const;
@@ -37,7 +46,7 @@ class MapOutputBuffer {
   bool empty() const { return entries_.empty(); }
 
   /// Sort records by (partition, key); stable so equal keys keep insertion
-  /// order. Must be called before PartitionStream.
+  /// order. Must follow AssignPartitions and precede PartitionStream.
   void Sort();
 
   /// Stream over the sorted records of one partition. Valid until
@@ -61,7 +70,7 @@ class MapOutputBuffer {
     const char* base;
     uint32_t key_len;
     uint32_t val_len;
-    int32_t partition;
+    int32_t partition;  ///< set by AssignPartitions
   };
 
   class BufferStream;

@@ -11,8 +11,20 @@ namespace antimr {
 
 namespace {
 
-// MapContext that partitions each emitted record into the output buffer and
-// triggers spills when the buffer exceeds its budget.
+uint64_t DecodeNanos(const std::vector<const BlockReadStats*>& readers) {
+  uint64_t total = 0;
+  for (const BlockReadStats* s : readers) total += s->decode_nanos;
+  return total;
+}
+
+/// `window` minus the child-phase time measured inside it, floored at 0.
+uint64_t Exclusive(uint64_t window, uint64_t nested) {
+  return window > nested ? window - nested : 0;
+}
+
+// MapContext that buffers each emitted record and triggers spills when the
+// buffer exceeds its budget. Emit neither partitions nor reads the clock:
+// partitions are assigned in one timed pass per spill (PartitionAndSort).
 class MapTaskContext : public MapContext {
  public:
   MapTaskContext(const JobSpec& spec, const std::string& job_id, int task_id,
@@ -28,30 +40,15 @@ class MapTaskContext : public MapContext {
             static_cast<size_t>(spec.num_reduce_tasks)) {}
 
   void Emit(const Slice& key, const Slice& value) override {
-    int partition;
-    {
-      ScopedTimer t(&metrics_->cpu.partition_fn);
-      partition =
-          spec_.partitioner->Partition(key, spec_.num_reduce_tasks);
-    }
-    buffer_.Add(partition, key, value);
+    buffer_.Add(key, value);
     metrics_->emitted_records += 1;
     metrics_->emitted_bytes += key.size() + value.size();
   }
 
-  /// Batched emit: one partition-timing scope and one buffer reservation
-  /// for the whole batch instead of per record.
+  /// Batched emit: one buffer reservation for the whole batch.
   void EmitBatch(const RecordBatch& batch) override {
     if (batch.empty()) return;
-    partition_scratch_.resize(batch.size());
-    {
-      ScopedTimer t(&metrics_->cpu.partition_fn);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        partition_scratch_[i] = spec_.partitioner->Partition(
-            batch[i].key, spec_.num_reduce_tasks);
-      }
-    }
-    buffer_.AddBatch(batch, partition_scratch_);
+    buffer_.AddBatch(batch);
     metrics_->emitted_records += batch.size();
     for (const RecordRef& r : batch) metrics_->emitted_bytes += r.bytes();
   }
@@ -68,10 +65,7 @@ class MapTaskContext : public MapContext {
   /// Sort + (combine) + write the current buffer as spill files.
   Status SpillBuffer() {
     if (buffer_.empty()) return Status::OK();
-    {
-      ScopedTimer t(&metrics_->cpu.sort);
-      buffer_.Sort();
-    }
+    ANTIMR_RETURN_NOT_OK(PartitionAndSort());
     const Codec* codec = GetCodec(spec_.map_output_codec);
     for (int p = 0; p < spec_.num_reduce_tasks; ++p) {
       if (buffer_.PartitionRecords(p) == 0) continue;
@@ -104,10 +98,7 @@ class MapTaskContext : public MapContext {
     if (spill_count_ == 0) {
       // Everything fits in memory: sort and write final segments directly
       // (this is Hadoop's single final spill).
-      {
-        ScopedTimer t(&metrics_->cpu.sort);
-        buffer_.Sort();
-      }
+      ANTIMR_RETURN_NOT_OK(PartitionAndSort());
       for (int p = 0; p < spec_.num_reduce_tasks; ++p) {
         if (buffer_.PartitionRecords(p) == 0) continue;
         std::unique_ptr<KVStream> stream = buffer_.PartitionStream(p);
@@ -155,21 +146,39 @@ class MapTaskContext : public MapContext {
       SegmentWriteResult res;
       if (combine_on_merge) {
         ANTIMR_RETURN_NOT_OK(
-            WriteCombined(&merged, p, fname, codec, &res));
+            WriteCombined(&merged, p, fname, codec, &res, &spill_stats));
       } else {
-        ScopedTimer t(&metrics_->cpu.merge);
+        // The merge pass pulls (and so decodes) the spills and compresses
+        // its output; both have their own phases, so merge keeps the rest.
+        const uint64_t decode_before = DecodeNanos(spill_stats);
+        const uint64_t compress_before = metrics_->cpu.compress;
+        const uint64_t pass_start = NowNanos();
         ANTIMR_RETURN_NOT_OK(WriteSegment(env_, fname, &merged, codec,
                                           &metrics_->cpu.compress, &res,
                                           spec_.shuffle_block_bytes));
+        const uint64_t nested = (metrics_->cpu.compress - compress_before) +
+                                (DecodeNanos(spill_stats) - decode_before);
+        metrics_->cpu.merge += Exclusive(NowNanos() - pass_start, nested);
       }
-      for (const BlockReadStats* s : spill_stats) {
-        metrics_->cpu.decompress += s->decode_nanos;
-      }
+      metrics_->cpu.decompress += DecodeNanos(spill_stats);
       result->segment_files[static_cast<size_t>(p)] = fname;
       for (const std::string& sf : spills) {
         ANTIMR_RETURN_NOT_OK(env_->DeleteFile(sf));
       }
     }
+    return Status::OK();
+  }
+
+  /// Assign partitions in one timed pass over the buffer, then sort it.
+  /// This is the map task's only partition site; per-record partitioning
+  /// at Emit would cost two clock reads per record to time.
+  Status PartitionAndSort() {
+    {
+      ScopedTimer t(&metrics_->cpu.partition_fn);
+      ANTIMR_RETURN_NOT_OK(buffer_.AssignPartitions(*spec_.partitioner));
+    }
+    ScopedTimer t(&metrics_->cpu.sort);
+    buffer_.Sort();
     return Status::OK();
   }
 
@@ -199,16 +208,24 @@ class MapTaskContext : public MapContext {
                         res, spec_.shuffle_block_bytes);
   }
 
-  Status WriteCombined(KVStream* stream, int partition,
-                       const std::string& fname, const Codec* codec,
-                       SegmentWriteResult* res) {
+  /// Combine `stream` in one timed pass and write the result. When the
+  /// stream merges spill readers (`decoding_inputs`), the block decoding
+  /// the pass triggers is left to the decompress phase.
+  Status WriteCombined(
+      KVStream* stream, int partition, const std::string& fname,
+      const Codec* codec, SegmentWriteResult* res,
+      const std::vector<const BlockReadStats*>* decoding_inputs = nullptr) {
     TaskInfo info = info_;
     info.shuffle_partition = partition;
     std::vector<KV> combined;
     GroupRunStats stats;
+    const uint64_t decode_before =
+        decoding_inputs ? DecodeNanos(*decoding_inputs) : 0;
     ANTIMR_RETURN_NOT_OK(
         ApplyCombiner(spec_, info, stream, &combined, &stats));
-    metrics_->cpu.combine += stats.fn_nanos;
+    const uint64_t decoded =
+        decoding_inputs ? DecodeNanos(*decoding_inputs) - decode_before : 0;
+    metrics_->cpu.combine += Exclusive(stats.fn_nanos, decoded);
     metrics_->combine_input_records += stats.records;
     metrics_->combine_output_records += combined.size();
     KVVectorStream out(&combined);
@@ -223,7 +240,6 @@ class MapTaskContext : public MapContext {
   Env* env_;
   JobMetrics* metrics_;
   MapOutputBuffer buffer_;
-  std::vector<int> partition_scratch_;  // EmitBatch partition targets
   std::vector<std::vector<std::string>> spill_files_per_partition_;
   /// Every file name this task has started writing, for failure cleanup.
   std::vector<std::string> created_files_;

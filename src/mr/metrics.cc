@@ -102,7 +102,7 @@ std::string JobMetrics::ToString() const {
       " remap calls\n"
       "output:          %" PRIu64 " records, %s\n"
       "disk:            read %s, written %s\n"
-      "cpu (phases):    %s   wall: %s\n",
+      "phase sum:       %s (nested, wall-timed)   wall: %s\n",
       input_records, FormatBytes(input_bytes).c_str(), map_output_records,
       FormatBytes(map_output_bytes).c_str(), emitted_records,
       FormatBytes(emitted_bytes).c_str(), eager_records, lazy_records,

@@ -19,19 +19,27 @@ namespace antimr {
 
 // CPU nanoseconds per pipeline phase, in pipeline order. These names are
 // also the trace span names and the "dominant phase" vocabulary of
-// TopTasksReport, mirroring the paper's Table 2 phase breakdown.
-//   map_fn       user Map function
-//   partition_fn Partitioner calls
+// TopTasksReport, mirroring the paper's Table 2 phase breakdown. No phase
+// is timed per record: each is timed per pass, per group or per call (see
+// DESIGN.md section 10, "Cost discipline").
+//   map_fn       user Map function, one timer per call
+//   partition_fn the map task's partition pass before each sort (exclusive
+//                of map_fn), plus AntiMapper's timed per-call partitioning
 //   encode       Anti-Combining encoding (mapper side)
 //   sort         map-side buffer sorts
-//   combine      Combiner calls (map or reduce phase)
+//   combine      map-side Combiner passes, one timer per spill or merge
+//                pass (minus the spill decoding it drives), and Shared's
+//                reduce-phase combines
 //   compress     codec compression
 //   decompress   codec decompression
-//   merge        spill / segment merging
-//   decode       Anti-Combining decoding (reducer side)
-//   remap        LazySH Map re-execution on reducers
-//   shared       Shared structure maintenance incl. spills
-//   reduce_fn    user Reduce function
+//   merge        map-side spill merging, minus its compress and decompress
+//   decode       Anti-Combining decoding, one window per AntiReducer Reduce
+//                call: includes Shared inserts and value pulls, excludes
+//                the remap, combine and shared time inside it
+//   remap        LazySH Map + Partition re-execution, one timer per record
+//   shared       Shared pops (once per group) and the spills inserts trigger
+//   reduce_fn    user Reduce function, one timer per group; under
+//                Anti-Combining it wraps decode, remap and shared too
 #define ANTIMR_PHASE_CPU_FIELDS(X) \
   X(map_fn)                        \
   X(partition_fn)                  \

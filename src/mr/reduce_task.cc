@@ -64,13 +64,16 @@ class GroupValueIterator : public ValueIterator {
 }  // namespace
 
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
-                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats) {
+                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats,
+                 bool time_each_group) {
   std::string group_key;
   while (stream->Valid()) {
     group_key.assign(stream->key().data(), stream->key().size());
     GroupValueIterator values(stream, &group_key, &grouping_cmp);
-    {
+    if (time_each_group) {
       ScopedTimer t(&stats->fn_nanos);
+      reducer->Reduce(group_key, &values, ctx);
+    } else {
       reducer->Reduce(group_key, &values, ctx);
     }
     values.Drain();
@@ -87,14 +90,15 @@ Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
   std::unique_ptr<Reducer> combiner = spec.combiner_factory();
   CollectingContext ctx(out);
   combiner->Setup(info, &ctx);
+  // One timer for the whole pass, which includes pulling `stream`: spill
+  // groups are often a record or two, so timing each would cost more than
+  // the combining. AntiCombiner does its combining and re-encoding work in
+  // Cleanup, which the pass covers too.
+  ScopedTimer t(&stats->fn_nanos);
   ANTIMR_RETURN_NOT_OK(
       RunGroups(stream, spec.EffectiveGroupingCmp(), combiner.get(), &ctx,
-                stats));
-  {
-    // AntiCombiner does its combining and re-encoding work in Cleanup.
-    ScopedTimer t(&stats->fn_nanos);
-    combiner->Cleanup(&ctx);
-  }
+                stats, /*time_each_group=*/false));
+  combiner->Cleanup(&ctx);
   return Status::OK();
 }
 
@@ -196,8 +200,8 @@ Status RunReduceTask(const JobSpec& spec, int partition,
   reducer->Setup(info, &ctx);
   GroupRunStats stats;
   const uint64_t merge_start = NowNanos();
-  ANTIMR_RETURN_NOT_OK(
-      RunGroups(&merged, info.grouping_cmp, reducer.get(), &ctx, &stats));
+  ANTIMR_RETURN_NOT_OK(RunGroups(&merged, info.grouping_cmp, reducer.get(),
+                                 &ctx, &stats, /*time_each_group=*/true));
   const uint64_t merge_wall = NowNanos() - merge_start;
   const uint64_t fn_in_merge = stats.fn_nanos;
   {

@@ -20,14 +20,18 @@ namespace antimr {
 struct GroupRunStats {
   uint64_t groups = 0;
   uint64_t records = 0;
-  uint64_t fn_nanos = 0;  ///< time inside the user function
+  /// Time inside the user function: per Reduce call in RunGroups with
+  /// time_each_group, or the whole pass in ApplyCombiner.
+  uint64_t fn_nanos = 0;
 };
 
 /// Drive `reducer` over `stream`: one Reduce call per group of
 /// grouping-comparator-equal keys, in stream order. Does not call
-/// Setup/Cleanup (the caller owns lifecycle).
+/// Setup/Cleanup (the caller owns lifecycle). With `time_each_group`, each
+/// Reduce call is timed into stats->fn_nanos (two clock reads per group).
 Status RunGroups(KVStream* stream, const KeyComparator& grouping_cmp,
-                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats);
+                 Reducer* reducer, ReduceContext* ctx, GroupRunStats* stats,
+                 bool time_each_group);
 
 /// \brief ReduceContext that appends records to a vector.
 class CollectingContext : public ReduceContext {
@@ -79,7 +83,9 @@ class KVVectorStream : public KVStream {
 };
 
 /// Run a Combiner (with full Setup/Cleanup lifecycle) over a sorted stream,
-/// collecting its output. Used on map-side spills/merges and inside Shared.
+/// collecting its output. Used on map-side spills and merges. The pass
+/// (Reduce calls, Cleanup and the stream pulls that feed them) is timed
+/// once into stats->fn_nanos.
 Status ApplyCombiner(const JobSpec& spec, const TaskInfo& info,
                      KVStream* stream, std::vector<KV>* out,
                      GroupRunStats* stats);

@@ -11,6 +11,7 @@
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace anticombine {
@@ -94,13 +95,7 @@ class WordsMapper : public Mapper {
   }
 };
 
-// Partition = first key character digit, mod partitions.
-class DigitPartitioner : public Partitioner {
- public:
-  int Partition(const Slice& key, int num_partitions) const override {
-    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
-  }
-};
+using testing::DigitPartitioner;
 
 int CompareFirstByte(const Slice& a, const Slice& b) {
   return BytewiseCompare(Slice(a.data(), a.empty() ? 0 : 1),

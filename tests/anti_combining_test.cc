@@ -2,6 +2,7 @@
 // MapReduce program — any threshold T, Combiner flag C, codec, buffer size,
 // parallelism, or grouping comparator — must not change the program's output.
 // Plus targeted tests of the encoding decisions and metrics.
+#include <atomic>
 #include <map>
 #include <memory>
 
@@ -11,6 +12,7 @@
 #include "common/random.h"
 #include "datagen/qlog.h"
 #include "datagen/random_text.h"
+#include "obs/metrics_registry.h"
 #include "test_util.h"
 #include "workloads/query_suggestion.h"
 #include "workloads/sort.h"
@@ -306,6 +308,57 @@ TEST(AntiCombining, RemapCallsHappenOnlyForLazyRecords) {
   MustRun(EnableAntiCombining(original, AntiCombineOptions::Unrestricted()),
           MakeSplits(SyntheticInput(200, 17), 2), &m);
   EXPECT_EQ(m.remap_calls, m.lazy_records);
+}
+
+// Hash partitioning that counts its calls; tasks run concurrently.
+class CountingPartitioner : public Partitioner {
+ public:
+  int Partition(const Slice& key, int num_partitions) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return HashPartitioner().Partition(key, num_partitions);
+  }
+  mutable std::atomic<uint64_t> calls{0};
+};
+
+// AdaptiveSH partitions each captured record once in AntiMapper (its
+// threshold needs the measured cost), each emitted record once in the map
+// task's partition pass, and each record a LazySH remap re-creates.
+TEST(AntiCombining, AdaptivePartitionCallCount) {
+  constexpr int kFanOut = 8;
+  for (const bool shared_values : {true, false}) {
+    SCOPED_TRACE(shared_values ? "shared values" : "distinct values");
+    auto partitioner = std::make_shared<CountingPartitioner>();
+    JobSpec original = SyntheticJob({kFanOut, 50, shared_values, false}, 4);
+    original.partitioner = partitioner;
+    JobMetrics m;
+    MustRun(EnableAntiCombining(original, AntiCombineOptions::Unrestricted()),
+            MakeSplits(SyntheticInput(300, 23), 3), &m);
+    ASSERT_EQ(m.map_output_records, 300u * kFanOut);
+    EXPECT_EQ(partitioner->calls.load(),
+              m.map_output_records + m.emitted_records +
+                  m.remap_calls * kFanOut);
+    EXPECT_GT(m.cpu.partition_fn, 0u);
+  }
+}
+
+// The process-wide remap counter is bumped once per task by the task's
+// remap count; summed over a job it must equal JobMetrics::remap_calls,
+// reduce-side and map-side (AntiCombiner) remaps alike.
+TEST(AntiCombining, RemapCounterMatchesJobMetrics) {
+  obs::Counter* const counter = obs::MetricsRegistry::Global().GetCounter(
+      "antimr_remap_calls_total",
+      "LazySH decodes that re-executed the original Map");
+  for (const bool with_combiner : {false, true}) {
+    SCOPED_TRACE(with_combiner ? "with combiner" : "no combiner");
+    JobSpec original = SyntheticJob({8, 50, false, with_combiner}, 3);
+    original.map_buffer_bytes = 8 * 1024;  // spill, so combiners run
+    const uint64_t before = counter->value();
+    JobMetrics m;
+    MustRun(EnableAntiCombining(original, AntiCombineOptions::LazyOnly()),
+            MakeSplits(SyntheticInput(300, 29), 2), &m);
+    EXPECT_GT(m.remap_calls, 0u);
+    EXPECT_EQ(counter->value() - before, m.remap_calls);
+  }
 }
 
 TEST(AntiCombining, SharedSpillsWhenMemoryTight) {

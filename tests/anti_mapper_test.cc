@@ -9,6 +9,7 @@
 #include "alloc_counter.h"
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace anticombine {
@@ -37,13 +38,7 @@ class ScriptedMapper : public Mapper {
   std::vector<KV> script_;
 };
 
-// Partition = first key character digit, mod partitions.
-class DigitPartitioner : public Partitioner {
- public:
-  int Partition(const Slice& key, int num_partitions) const override {
-    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
-  }
-};
+using testing::DigitPartitioner;
 
 struct Decoded {
   Encoding encoding;

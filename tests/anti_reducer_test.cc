@@ -11,6 +11,7 @@
 #include "anticombine/encoding.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace anticombine {
@@ -84,13 +85,7 @@ class RemapMapper : public Mapper {
   }
 };
 
-// Partition = first character digit.
-class DigitPartitioner : public Partitioner {
- public:
-  int Partition(const Slice& key, int num_partitions) const override {
-    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
-  }
-};
+using testing::DigitPartitioner;
 
 std::string EagerValue(const std::vector<std::string>& other_keys,
                        const std::string& value) {

@@ -1,5 +1,6 @@
 // End-to-end tests of the MapReduce framework: map/shuffle/reduce semantics,
 // spilling, combiners, codecs, comparators, and metrics plumbing.
+#include <atomic>
 #include <map>
 #include <memory>
 
@@ -238,6 +239,73 @@ TEST(JobRunner, MetricsAccounting) {
   EXPECT_GT(m.disk_bytes_read, 0u);
   EXPECT_GT(m.total_cpu_nanos, 0u);
   EXPECT_GT(m.wall_nanos, 0u);
+}
+
+// Hash partitioning that counts its calls; map tasks run concurrently.
+class CountingPartitioner : public Partitioner {
+ public:
+  int Partition(const Slice& key, int num_partitions) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return HashPartitioner().Partition(key, num_partitions);
+  }
+  mutable std::atomic<uint64_t> calls{0};
+};
+
+// The map task partitions each emitted record exactly once, in the pass
+// before each spill's sort or in the single final sort when nothing
+// spilled, and times that pass.
+TEST(JobRunner, PartitionsEachEmittedRecordOnce) {
+  std::vector<KV> input;
+  for (int i = 0; i < 2000; ++i) {
+    input.push_back({"k" + std::to_string(i % 97), std::to_string(i)});
+  }
+  for (const size_t buffer_bytes : {size_t{4} << 20, size_t{4096}}) {
+    SCOPED_TRACE("map_buffer_bytes=" + std::to_string(buffer_bytes));
+    auto partitioner = std::make_shared<CountingPartitioner>();
+    JobSpec spec = EchoConcatJob(4);
+    spec.partitioner = partitioner;
+    spec.map_buffer_bytes = buffer_bytes;
+    JobMetrics m;
+    const std::vector<KV> out = MustRun(spec, MakeSplits(input, 3), &m);
+    EXPECT_EQ(out.size(), 97u);
+    EXPECT_EQ(m.emitted_records, input.size());
+    EXPECT_EQ(partitioner->calls.load(), m.emitted_records);
+    EXPECT_GT(m.cpu.partition_fn, 0u);
+    if (buffer_bytes == 4096) {
+      EXPECT_GT(m.map_spills, 10u);
+    } else {
+      EXPECT_EQ(m.map_spills, 0u);
+    }
+  }
+}
+
+// A partition outside [0, num_reduce_tasks) fails the job with a permanent
+// InvalidArgument naming the value and the task count, rather than losing
+// the record (negative) or folding it into the last reduce task (too big).
+TEST(JobRunner, OutOfRangePartitionFailsTheJob) {
+  class BadPartitioner : public Partitioner {
+   public:
+    int Partition(const Slice& key, int num_partitions) const override {
+      if (key == Slice("neg")) return -1;
+      if (key == Slice("big")) return num_partitions;
+      return 0;
+    }
+  };
+  for (const std::string bad : {"neg", "big"}) {
+    SCOPED_TRACE(bad);
+    JobSpec spec = EchoConcatJob(3);
+    spec.partitioner = std::make_shared<BadPartitioner>();
+    JobResult result;
+    const Status st = RunJob(
+        spec, {MakeSplit({{"a", "1"}, {bad, "2"}, {"b", "3"}})}, &result);
+    ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_FALSE(st.IsTransient());
+    const std::string want =
+        bad == "neg" ? "partition -1 " : "partition 3 ";
+    EXPECT_NE(st.ToString().find(want), std::string::npos) << st.ToString();
+    EXPECT_NE(st.ToString().find("3 reduce tasks"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(JobRunner, ValidatesSpec) {

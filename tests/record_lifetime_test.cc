@@ -14,6 +14,7 @@
 
 #include "io/run_file.h"
 #include "mr/map_output_buffer.h"
+#include "test_util.h"
 
 namespace antimr {
 namespace {
@@ -143,9 +144,12 @@ TEST_F(RecordLifetimeTest, BlockRunReaderViewsValidUntilBlockAdvance) {
 TEST_F(RecordLifetimeTest, MapOutputBufferClearScrubsFailedAttempt) {
   MapOutputBuffer buffer(2, BytewiseCompare);
   // Failed attempt: buffer some records, start sorting, then die.
+  const testing::DigitPartitioner partitioner;
   for (int i = 0; i < 100; ++i) {
-    buffer.Add(i % 2, "stale" + std::to_string(i), std::string(50, 'x'));
+    buffer.Add(std::to_string(i % 2) + "stale" + std::to_string(i),
+               std::string(50, 'x'));
   }
+  ASSERT_TRUE(buffer.AssignPartitions(partitioner).ok());
   buffer.Sort();
   ASSERT_GT(buffer.arena_bytes_used(), 0u);
 
@@ -155,17 +159,18 @@ TEST_F(RecordLifetimeTest, MapOutputBufferClearScrubsFailedAttempt) {
   EXPECT_EQ(buffer.memory_usage(), 0u);
 
   // Retry: different records, reusing the same (retained) arena chunks.
-  buffer.Add(0, "fresh-b", "2");
-  buffer.Add(0, "fresh-a", "1");
+  buffer.Add("0fresh-b", "2");
+  buffer.Add("0fresh-a", "1");
+  ASSERT_TRUE(buffer.AssignPartitions(partitioner).ok());
   buffer.Sort();
   EXPECT_EQ(buffer.PartitionRecords(0), 2u);
   EXPECT_EQ(buffer.PartitionRecords(1), 0u);
   auto stream = buffer.PartitionStream(0);
   ASSERT_TRUE(stream->Valid());
-  EXPECT_EQ(stream->key().ToString(), "fresh-a");
+  EXPECT_EQ(stream->key().ToString(), "0fresh-a");
   EXPECT_EQ(stream->value().ToString(), "1");
   ASSERT_TRUE(stream->Next().ok());
-  EXPECT_EQ(stream->key().ToString(), "fresh-b");
+  EXPECT_EQ(stream->key().ToString(), "0fresh-b");
   ASSERT_TRUE(stream->Next().ok());
   EXPECT_FALSE(stream->Valid());
 }
@@ -176,7 +181,8 @@ TEST_F(RecordLifetimeTest, MapOutputBufferClearScrubsFailedAttempt) {
 TEST_F(RecordLifetimeTest, MapOutputBufferViewsStableAcrossGrowth) {
   MapOutputBuffer buffer(1, BytewiseCompare);
   const auto kvs = MakeRecords(2000, 60);  // spans many 64 KiB chunks
-  for (const auto& [k, v] : kvs) buffer.Add(0, k, v);
+  for (const auto& [k, v] : kvs) buffer.Add(k, v);
+  ASSERT_TRUE(buffer.AssignPartitions(HashPartitioner()).ok());
   buffer.Sort();
   auto stream = buffer.PartitionStream(0);
   std::vector<Slice> keys;

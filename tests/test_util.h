@@ -13,6 +13,15 @@
 namespace antimr {
 namespace testing {
 
+/// Partition = the key's leading digit, modulo the partition count (an
+/// empty key goes to partition 0).
+class DigitPartitioner : public Partitioner {
+ public:
+  int Partition(const Slice& key, int num_partitions) const override {
+    return (key.empty() ? 0 : key[0] - '0') % num_partitions;
+  }
+};
+
 /// Sort records by (key, value) so multiset comparisons are order-free.
 inline std::vector<KV> Canonicalize(std::vector<KV> records) {
   std::sort(records.begin(), records.end(), [](const KV& a, const KV& b) {

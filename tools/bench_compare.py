@@ -22,6 +22,11 @@ checked against its bound: the change's median may be worse than the
 parent's by at most bound x the parent's median. A run that exits
 non-zero, reports correct=false or a failed job fails the comparison.
 
+Both sides of a pair run the same seed, so the byte counters (shuffle_mb,
+disk_mb, wire_mb) of a change that moves no output byte read exactly
+equal. For those the table's "equal" column counts the pairs that do. It
+is a report, not a gate: some legitimate changes drift by a few bytes.
+
 Exit code: 0 when every run passed and every bound held, 1 otherwise,
 2 on a usage error.
 """
@@ -31,6 +36,10 @@ import os
 import statistics
 import subprocess
 import sys
+
+# Deterministic byte counters: equal on both sides of a same-seed pair
+# unless the change moves output bytes.
+BYTE_COUNTERS = ("shuffle_mb", "disk_mb", "wire_mb")
 
 
 def load_benchmark(checkout):
@@ -99,7 +108,7 @@ def compare_workload(args, workload, directions, bounds):
     print(f"\n{workload}: {len(seeds)} pairs, --seconds {args.seconds}, "
           f"--trace {args.trace}")
     header = ("metric", "parent Q1", "median", "Q3", "change Q1", "median",
-              "Q3", "delta", "wins", "IQR test", "bound")
+              "Q3", "delta", "wins", "IQR test", "bound", "equal")
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
     for name in names:
@@ -121,10 +130,14 @@ def compare_workload(args, workload, directions, bounds):
             held = worse <= bounds[name] * abs(pmed)
             verdict = "ok" if held else f"WORSE than {bounds[name]:g}"
             ok = ok and held
+        equal = ""
+        if name in BYTE_COUNTERS:
+            same = sum(1 for p, c in zip(pv, cv) if p == c)
+            equal = f"{same}/{len(pv)}"
         cells = [name, f"{pq1:.4g}", f"{pmed:.4g}", f"{pq3:.4g}",
                  f"{cq1:.4g}", f"{cmed:.4g}", f"{cq3:.4g}",
                  f"{100 * delta:+.1f}%", f"{wins}/{len(pv)}",
-                 "beyond" if beyond_iqr else "within", verdict]
+                 "beyond" if beyond_iqr else "within", verdict, equal]
         print("| " + " | ".join(cells) + " |")
     sys.stdout.flush()
     return ok
