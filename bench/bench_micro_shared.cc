@@ -56,9 +56,12 @@ void RunAddPop(benchmark::State& state, size_t memory_limit, bool combine) {
       shared.Add(keys[rng.Uniform(static_cast<uint64_t>(num_keys))], "1");
       ++records;
     }
-    std::string key;
-    std::vector<std::string> values;
-    while (shared.PopMinKeyValues(&key, &values)) values.clear();
+    Slice key;
+    ValueIterator* values = nullptr;
+    while (shared.PopMinGroup(&key, &values)) {
+      Slice value;
+      while (values->Next(&value)) benchmark::DoNotOptimize(value);
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));
 }

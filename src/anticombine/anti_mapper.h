@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "anticombine/capture_context.h"
 #include "anticombine/eager_groups.h"
 #include "anticombine/options.h"
 #include "common/arena.h"
@@ -18,38 +19,6 @@
 
 namespace antimr {
 namespace anticombine {
-
-/// \brief Map or reduce context that records emissions instead of
-/// forwarding them.
-///
-/// Arena-backed: one Map call's output (or one combine pass's Combiner
-/// output) lands in a single reused buffer, so interception costs no
-/// per-record allocations after warm-up.
-class CaptureContext : public MapContext, public ReduceContext {
- public:
-  void Emit(const Slice& key, const Slice& value) override {
-    entries_.push_back(arena_.InternRecord(key, value));
-  }
-
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  /// Views are stable until Clear(): the chunked arena never relocates
-  /// interned bytes, so captured slices can be held across further Emits
-  /// (the cross-call window relies on this).
-  Slice key(size_t i) const { return entries_[i].key; }
-  Slice value(size_t i) const { return entries_[i].value; }
-  const RecordBatch& records() const { return entries_; }
-
-  void Clear() {
-    arena_.Clear();
-    entries_.clear();
-  }
-
- private:
-  Arena arena_;
-  RecordBatch entries_;
-};
 
 /// \brief Adaptive encoding mapper.
 ///

@@ -23,10 +23,17 @@ obs::Counter* RemapCounter() {
   return counter;
 }
 
+// Sum of the phases Shared times inside a remap window (the combines and
+// spills an insert triggers), which the window subtracts to stay exclusive
+// of them.
+uint64_t NestedInRemap(const JobMetrics& m) {
+  return m.cpu.shared + m.cpu.combine;
+}
+
 // Sum of the phases timed inside AntiReducer's decode window, which the
 // window subtracts to stay exclusive of them.
 uint64_t NestedInDecode(const JobMetrics& m) {
-  return m.cpu.remap + m.cpu.shared + m.cpu.combine;
+  return m.cpu.remap + NestedInRemap(m);
 }
 
 std::string UniqueSharedPrefix(int task_id) {
@@ -62,7 +69,10 @@ AntiReducer::AntiReducer(ReducerFactory o_reducer_factory,
     : o_reducer_factory_(std::move(o_reducer_factory)),
       o_mapper_factory_(std::move(o_mapper_factory)),
       o_combiner_factory_(std::move(o_combiner_factory)),
-      options_(options) {}
+      options_(options),
+      remap_context_(&info_, [this](const Slice& key, const Slice& value) {
+        shared_->Add(key, value);
+      }) {}
 
 void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   info_ = info;
@@ -72,9 +82,7 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
   // The original mapper is needed to decode LazySH records. Setup-time
   // emissions (rare, and already shipped by the map phase) are discarded.
   o_mapper_ = o_mapper_factory_();
-  remap_capture_.Clear();
-  o_mapper_->Setup(info, &remap_capture_);
-  remap_capture_.Clear();
+  o_mapper_->Setup(info, &remap_context_);
 
   if (o_combiner_factory_ && options_.combine_in_shared) {
     o_combiner_ = o_combiner_factory_();
@@ -97,14 +105,12 @@ void AntiReducer::Setup(const TaskInfo& info, ReduceContext* ctx) {
 void AntiReducer::DrainShared(const Slice& key, bool to_end,
                               ReduceContext* ctx) {
   Slice alt_key;  // zero-copy peek; only inspected before the pop
-  std::vector<std::string> values;
   while (shared_->PeekMinKey(&alt_key)) {
     if (!to_end && info_.grouping_cmp(alt_key, key) >= 0) break;
-    values.clear();
-    std::string group_key;
-    if (!shared_->PopMinKeyValues(&group_key, &values)) break;
-    VectorValueIterator it(&values);
-    o_reducer_->Reduce(group_key, &it, ctx);
+    Slice group_key;
+    ValueIterator* values = nullptr;
+    if (!shared_->PopMinGroup(&group_key, &values)) break;
+    o_reducer_->Reduce(group_key, values, ctx);
   }
 }
 
@@ -128,26 +134,19 @@ void AntiReducer::DecodeValue(const Slice& rep_key, const Slice& payload) {
 }
 
 void AntiReducer::Remap(const Slice& input_key, const Slice& input_value) {
-  // Re-execute the original Map and Partition, keeping only the records
-  // assigned to this reduce task (Algorithm 4, lines 6-10).
+  // Re-execute the original Map and Partition; the records assigned to this
+  // reduce task go into Shared as Map emits them.
   JobMetrics* m = info_.metrics;
-  remap_capture_.Clear();
+  const uint64_t nested_before = m != nullptr ? NestedInRemap(*m) : 0;
   const uint64_t t0 = NowNanos();
-  o_mapper_->Map(input_key, input_value, &remap_capture_);
-  mine_.assign(remap_capture_.size(), false);
-  for (size_t i = 0; i < remap_capture_.size(); ++i) {
-    mine_[i] = info_.partitioner->Partition(remap_capture_.key(i),
-                                            info_.num_reduce_tasks) ==
-               info_.shuffle_partition;
-  }
+  remap_context_.Remap(o_mapper_.get(), input_key, input_value);
   if (m != nullptr) {
-    m->cpu.remap += NowNanos() - t0;
+    const uint64_t window = NowNanos() - t0;
+    const uint64_t nested = NestedInRemap(*m) - nested_before;
+    m->cpu.remap += window > nested ? window - nested : 0;
     m->remap_calls += 1;
   }
   ++remap_calls_;
-  for (size_t i = 0; i < remap_capture_.size(); ++i) {
-    if (mine_[i]) shared_->Add(remap_capture_.key(i), remap_capture_.value(i));
-  }
 }
 
 void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
@@ -223,13 +222,12 @@ void AntiReducer::Reduce(const Slice& key, ValueIterator* values,
 
   // Lines 11-12: run the original Reduce on the union of the decoded
   // records for this group (regular input and Shared are merged inside
-  // PopMinKeyValues, in key order).
+  // PopMinGroup, in key order), over views of Shared's runs.
   if (use_shared) {
-    std::string popped;
-    group_values_.clear();
-    if (shared_->PopMinKeyValues(&popped, &group_values_)) {
-      VectorValueIterator it(&group_values_);
-      o_reducer_->Reduce(popped, &it, ctx);
+    Slice group_key;
+    ValueIterator* group_values = nullptr;
+    if (shared_->PopMinGroup(&group_key, &group_values)) {
+      o_reducer_->Reduce(group_key, group_values, ctx);
     }
     return;
   }
@@ -249,9 +247,7 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
   RemapCounter()->Inc(remap_calls_);
   remap_calls_ = 0;
   o_reducer_->Cleanup(ctx);
-  remap_capture_.Clear();
-  o_mapper_->Cleanup(&remap_capture_);
-  remap_capture_.Clear();
+  o_mapper_->Cleanup(&remap_context_);
   if (o_combiner_ != nullptr) {
     o_combiner_->Cleanup(&remap_capture_);
     remap_capture_.Clear();
@@ -264,7 +260,10 @@ void AntiReducer::Cleanup(ReduceContext* ctx) {
 AntiCombiner::AntiCombiner(ReducerFactory o_combiner_factory,
                            MapperFactory o_mapper_factory)
     : o_combiner_factory_(std::move(o_combiner_factory)),
-      o_mapper_factory_(std::move(o_mapper_factory)) {}
+      o_mapper_factory_(std::move(o_mapper_factory)),
+      remap_context_(&info_, [this](const Slice& key, const Slice& value) {
+        Add(KeyId(key), arena_.Intern(value));
+      }) {}
 
 void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   (void)ctx;
@@ -274,8 +273,7 @@ void AntiCombiner::Setup(const TaskInfo& info, ReduceContext* ctx) {
   o_combiner_->Setup(info, &combined_);
   combined_.Clear();
   o_mapper_ = o_mapper_factory_();
-  o_mapper_->Setup(info, &remap_capture_);
-  remap_capture_.Clear();
+  o_mapper_->Setup(info, &remap_context_);
   key_index_.Rebuild(keys_);
 }
 
@@ -306,20 +304,13 @@ void AntiCombiner::DecodeValue(const Slice& rep_key, const Slice& payload) {
     for (const Slice& key : decode_keys_) Add(KeyId(key), value);
     return;
   }
-  // LazySH: re-execute the original Map and Partition, keeping the records
-  // assigned to the partition this pass combines.
+  // LazySH: re-execute the original Map and Partition, interning only the
+  // records assigned to the partition this pass combines.
   Slice input_key, input_value;
   ANTIMR_CHECK_OK(DecodeLazyPayload(rest, &input_key, &input_value));
-  remap_capture_.Clear();
-  o_mapper_->Map(input_key, input_value, &remap_capture_);
+  remap_context_.Remap(o_mapper_.get(), input_key, input_value);
   if (info_.metrics != nullptr) info_.metrics->remap_calls += 1;
   ++pass_remap_calls_;
-  for (const RecordRef& rec : remap_capture_.records()) {
-    if (info_.partitioner->Partition(rec.key, info_.num_reduce_tasks) ==
-        info_.shuffle_partition) {
-      Add(KeyId(rec.key), arena_.Intern(rec.value));
-    }
-  }
 }
 
 void AntiCombiner::Reduce(const Slice& key, ValueIterator* values,

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/coding.h"
 #include "common/stopwatch.h"
 #include "io/run_file.h"
-#include "mr/reduce_task.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
@@ -36,6 +36,32 @@ class GroupBoundedStream : public KVStream {
   const KeyComparator* grouping_cmp_;
 };
 
+// The in-memory side of a group that spans spills: the runs moved out of
+// the table, each paired with its key, as one key-ordered stream.
+class RunListStream : public KVStream {
+ public:
+  RunListStream(const std::vector<Slice>* keys,
+                const std::vector<std::string>* runs)
+      : keys_(keys) {
+    values_.Reset(runs->data(), runs->size());
+    valid_ = values_.Next(&value_);
+  }
+
+  bool Valid() const override { return valid_; }
+  Slice key() const override { return (*keys_)[values_.run_index()]; }
+  Slice value() const override { return value_; }
+  Status Next() override {
+    valid_ = values_.Next(&value_);
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<Slice>* keys_;
+  RunValueIterator values_;
+  Slice value_;
+  bool valid_ = false;
+};
+
 // Fetched here (not only at the spill site) so the histogram shows up in a
 // metrics scrape even for runs that never spilled.
 obs::Histogram* SpillBytesHistogram() {
@@ -46,6 +72,21 @@ obs::Histogram* SpillBytesHistogram() {
 }
 
 }  // namespace
+
+bool RunValueIterator::Next(Slice* value) {
+  while (pos_ == end_) {
+    if (next_ == runs_end_) return false;
+    pos_ = next_->data();
+    end_ = pos_ + next_->size();
+    ++next_;
+  }
+  uint32_t len = 0;
+  pos_ = GetVarint32Ptr(pos_, end_, &len);
+  assert(pos_ != nullptr && len <= static_cast<size_t>(end_ - pos_));
+  *value = Slice(pos_, len);
+  pos_ += len;
+  return true;
+}
 
 Shared::Shared(Options options)
     : options_(std::move(options)),
@@ -63,8 +104,8 @@ Shared::~Shared() {
 }
 
 void Shared::Add(const Slice& key, const Slice& value) {
-  // No per-insert timer: the caller's decode window covers inserts. The
-  // rare spill and spill merge time themselves.
+  // No per-insert timer: the caller's decode or remap window covers
+  // inserts. The rare spill and spill merge time themselves.
   AddInternal(key, value, /*allow_combine=*/true);
   if (options_.metrics) options_.metrics->shared_insertions += 1;
   if (memory_bytes_ > options_.memory_limit_bytes) {
@@ -85,40 +126,56 @@ void Shared::AddInternal(const Slice& key, const Slice& value,
     it = table_.emplace(interned, ValueList()).first;
     memory_bytes_ += key.size();
   }
-  it->second.values.emplace_back(value.view());
-  memory_bytes_ += value.size();
+  // A reference, not the iterator: a combine may insert other keys and
+  // rehash the table, which keeps elements in place but not iterators.
+  const Slice interned = it->first;
+  ValueList& list = it->second;
+  AppendValue(&list, value);
   if (allow_combine && options_.combiner != nullptr &&
-      it->second.values.size() >= it->second.next_combine) {
-    CombineKey(it->first, &it->second.values);
-    it->second.next_combine =
-        std::max<size_t>(2, 2 * it->second.values.size());
+      list.count >= list.next_combine) {
+    CombineKey(interned, &list);
+    list.next_combine = std::max<size_t>(2, 2 * list.count);
   }
 }
 
-void Shared::CombineKey(const Slice& key, std::vector<std::string>* values) {
+void Shared::AppendValue(ValueList* list, const Slice& value) {
+  char prefix[5];
+  const char* prefix_end =
+      EncodeVarint32(prefix, static_cast<uint32_t>(value.size()));
+  list->run.append(prefix, static_cast<size_t>(prefix_end - prefix));
+  list->run.append(value.data(), value.size());
+  ++list->count;
+  list->value_bytes += value.size();
+  memory_bytes_ += value.size();
+}
+
+void Shared::CombineKey(const Slice& key, ValueList* list) {
   uint64_t combine_nanos = 0;
-  std::vector<KV> combined;
+  combined_.Clear();
   {
     ScopedTimer t(&combine_nanos);
-    VectorValueIterator it(values);
-    CollectingContext ctx(&combined);
-    options_.combiner->Reduce(key, &it, &ctx);
+    RunValueIterator it;
+    it.Reset(&list->run, 1);
+    options_.combiner->Reduce(key, &it, &combined_);
   }
   if (options_.metrics) {
     options_.metrics->cpu.combine += combine_nanos;
-    options_.metrics->combine_input_records += values->size();
-    options_.metrics->combine_output_records += combined.size();
+    options_.metrics->combine_input_records += list->count;
+    options_.metrics->combine_output_records += combined_.size();
   }
-  for (const std::string& v : *values) memory_bytes_ -= v.size();
-  values->clear();
-  for (KV& kv : combined) {
-    if (Slice(kv.key) == key) {
-      memory_bytes_ += kv.value.size();
-      values->push_back(std::move(kv.value));
+  // Rewrite the run from the Combiner's output, which combined_ holds as
+  // copies, so the old run's bytes are free to go.
+  memory_bytes_ -= list->value_bytes;
+  list->run.clear();
+  list->count = 0;
+  list->value_bytes = 0;
+  for (const RecordRef& rec : combined_.records()) {
+    if (rec.key == key) {
+      AppendValue(list, rec.value);
     } else {
       // A combiner emitting a different key is unusual but legal; store it
       // without re-combining to guarantee termination.
-      AddInternal(kv.key, kv.value, /*allow_combine=*/false);
+      AddInternal(rec.key, rec.value, /*allow_combine=*/false);
     }
   }
 }
@@ -141,9 +198,10 @@ void Shared::SpillToDisk() {
     heap_.pop();
     auto it = table_.find(key);
     if (it == table_.end()) continue;  // stale heap entry
-    for (const std::string& value : it->second.values) {
-      ANTIMR_CHECK_OK(writer.Add(key, value));
-    }
+    RunValueIterator values;
+    values.Reset(&it->second.run, 1);
+    Slice value;
+    while (values.Next(&value)) ANTIMR_CHECK_OK(writer.Add(key, value));
     table_.erase(it);
   }
   ANTIMR_CHECK_OK(writer.Close());
@@ -243,8 +301,7 @@ bool Shared::PeekMinKey(std::string* key) {
   return true;
 }
 
-bool Shared::PopMinKeyValues(std::string* group_key,
-                             std::vector<std::string>* values) {
+bool Shared::PopMinGroup(Slice* group_key, ValueIterator** values) {
   uint64_t* shared_nanos =
       options_.metrics ? &options_.metrics->cpu.shared : nullptr;
   uint64_t local = 0;
@@ -253,71 +310,64 @@ bool Shared::PopMinKeyValues(std::string* group_key,
   Slice min_key;
   if (!FindMinKey(&min_key)) return false;
   // Materialize the group key once: the merge below advances spill streams,
-  // which would invalidate a stream-head view mid-drain.
-  group_key->assign(min_key.data(), min_key.size());
+  // which would invalidate a stream-head view mid-drain, and reclaiming the
+  // key arena would invalidate an interned one.
+  group_key_.assign(min_key.data(), min_key.size());
+  *group_key = Slice(group_key_);
+  *values = &group_values_;
 
-  // Fast path: no spill stream is positioned on this group, so it lives
-  // entirely in the table — heap pops already ascend in key order, and each
-  // key's values move straight into *values without an intermediate copy.
   bool spilled_group = false;
   for (SpillRun& run : spills_) {
     if (run.stream->Valid() &&
-        options_.grouping_cmp(run.stream->key(), Slice(*group_key)) == 0) {
+        options_.grouping_cmp(run.stream->key(), *group_key) == 0) {
       spilled_group = true;
       break;
     }
   }
-  if (!spilled_group) {
-    while (!heap_.empty() &&
-           options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
-      const Slice key = heap_.top();  // interned view; survives the pop
-      heap_.pop();
-      auto it = table_.find(key);
-      if (it == table_.end()) continue;  // stale
-      std::vector<std::string>& group = it->second.values;
-      values->reserve(values->size() + group.size());
-      for (std::string& value : group) {
-        memory_bytes_ -= value.size();
-        values->push_back(std::move(value));
-      }
-      memory_bytes_ -= key.size();
-      table_.erase(it);
-    }
-    MaybeReclaimKeys();
-    return true;
-  }
 
-  // Collect the group's in-memory records in key order (heap pops ascend).
-  std::vector<KV> mem_records;
+  // Move the group's runs out of the table, in key order (heap pops
+  // ascend). The swap hands over each run's buffer; no value is copied.
+  group_runs_.clear();
+  group_keys_.clear();
   while (!heap_.empty() &&
-         options_.grouping_cmp(heap_.top(), Slice(*group_key)) == 0) {
+         options_.grouping_cmp(heap_.top(), *group_key) == 0) {
     const Slice key = heap_.top();  // interned view; survives the pop
     heap_.pop();
     auto it = table_.find(key);
     if (it == table_.end()) continue;  // stale
-    mem_records.reserve(mem_records.size() + it->second.values.size());
-    for (std::string& value : it->second.values) {
-      memory_bytes_ -= value.size();
-      mem_records.emplace_back(key.ToString(), std::move(value));
-    }
-    memory_bytes_ -= key.size();
+    memory_bytes_ -= key.size() + it->second.value_bytes;
+    group_runs_.emplace_back().swap(it->second.run);
+    if (spilled_group) group_keys_.push_back(key);
     table_.erase(it);
   }
-  MaybeReclaimKeys();
 
-  // Merge memory records with the group prefix of each spill stream.
-  values->reserve(values->size() + mem_records.size());
-  std::vector<std::unique_ptr<KVStream>> inputs;
-  inputs.push_back(std::make_unique<KVVectorStream>(&mem_records));
-  for (SpillRun& run : spills_) {
-    inputs.push_back(std::make_unique<GroupBoundedStream>(
-        run.stream.get(), group_key, &options_.grouping_cmp));
+  // Fast path: no spill stream is positioned on this group, so it lives
+  // entirely in the moved-out runs.
+  if (!spilled_group) {
+    MaybeReclaimKeys();
+    group_values_.Reset(group_runs_.data(), group_runs_.size());
+    return true;
   }
-  MergingStream merged(std::move(inputs), options_.key_cmp);
-  while (merged.Valid()) {
-    values->emplace_back(merged.value().view());
-    ANTIMR_CHECK_OK(merged.Next());
+
+  // Merge the moved-out runs with the group prefix of each spill stream, in
+  // key order, into one reused run.
+  merged_run_.clear();
+  {
+    std::vector<std::unique_ptr<KVStream>> inputs;
+    inputs.push_back(
+        std::make_unique<RunListStream>(&group_keys_, &group_runs_));
+    for (SpillRun& run : spills_) {
+      inputs.push_back(std::make_unique<GroupBoundedStream>(
+          run.stream.get(), &group_key_, &options_.grouping_cmp));
+    }
+    MergingStream merged(std::move(inputs), options_.key_cmp);
+    while (merged.Valid()) {
+      PutLengthPrefixed(&merged_run_, merged.value());
+      ANTIMR_CHECK_OK(merged.Next());
+    }
   }
+  MaybeReclaimKeys();  // group_keys_ view the key arena until here
+  group_values_.Reset(&merged_run_, 1);
   return true;
 }
 

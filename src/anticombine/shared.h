@@ -5,6 +5,11 @@
 // spill merging past a threshold, buffered sequential reads of spilled
 // groups, and optional reduce-phase Combining that collapses each key's
 // values as they arrive.
+//
+// Each key's values live in one run: a single string of varint32-length-
+// prefixed values, appended to on insert. A pop moves the group's runs out
+// of the table without copying their bytes and hands the values out as
+// views into them.
 #ifndef ANTIMR_ANTICOMBINE_SHARED_H_
 #define ANTIMR_ANTICOMBINE_SHARED_H_
 
@@ -14,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "anticombine/capture_context.h"
 #include "common/arena.h"
 #include "common/hash.h"
 #include "io/merger.h"
@@ -22,6 +28,29 @@
 
 namespace antimr {
 namespace anticombine {
+
+/// \brief ValueIterator over consecutive value runs (varint32-length-
+/// prefixed values back to back). Values view the runs' bytes.
+class RunValueIterator : public ValueIterator {
+ public:
+  void Reset(const std::string* runs, size_t num_runs) {
+    runs_ = next_ = runs;
+    runs_end_ = runs + num_runs;
+    pos_ = end_ = nullptr;
+  }
+
+  bool Next(Slice* value) override;
+
+  /// Index of the run the last value came from.
+  size_t run_index() const { return static_cast<size_t>(next_ - runs_) - 1; }
+
+ private:
+  const std::string* runs_ = nullptr;
+  const std::string* next_ = nullptr;
+  const std::string* runs_end_ = nullptr;
+  const char* pos_ = nullptr;
+  const char* end_ = nullptr;
+};
 
 /// \brief Buffer for decoded records, drained in key order.
 class Shared {
@@ -60,15 +89,19 @@ class Shared {
   bool PeekMinKey(std::string* key);
 
   /// Zero-copy peek: *key views either an interned in-memory key or a spill
-  /// stream head. Valid until the next Add/PopMinKeyValues call.
+  /// stream head. Valid until the next Add/PopMinGroup call.
   bool PeekMinKey(Slice* key);
 
   /// Remove the minimal group (all keys grouping-equal to the minimal key,
-  /// from memory and spills) and append its values, in key order, to
-  /// *values. *group_key gets the minimal key. Returns false when empty.
-  bool PopMinKeyValues(std::string* group_key,
-                       std::vector<std::string>* values);
+  /// from memory and spills). *group_key views the minimal key, and
+  /// *values iterates the group's values in key order; the iterator and
+  /// every value it yields stay valid until the next Add/PopMinGroup call.
+  /// Returns false when empty.
+  bool PopMinGroup(Slice* group_key, ValueIterator** values);
 
+  /// Key bytes plus value bytes held in memory (run length prefixes and
+  /// string capacity excluded); the spill trigger compares this to
+  /// memory_limit_bytes.
   size_t memory_usage() const { return memory_bytes_; }
 
  private:
@@ -79,8 +112,20 @@ class Shared {
     }
   };
 
+  /// A key's pending values plus the size at which the next combine fires.
+  /// The doubling threshold keeps combining amortized-linear even when the
+  /// combiner cannot shrink a key's values below 2 (e.g. top-k style
+  /// aggregates over many distinct sub-values).
+  struct ValueList {
+    std::string run;         ///< varint32(length) + bytes, per value
+    size_t count = 0;        ///< values in run
+    size_t value_bytes = 0;  ///< run bytes minus the length prefixes
+    size_t next_combine = 2;
+  };
+
   void AddInternal(const Slice& key, const Slice& value, bool allow_combine);
-  void CombineKey(const Slice& key, std::vector<std::string>* values);
+  void AppendValue(ValueList* list, const Slice& value);
+  void CombineKey(const Slice& key, ValueList* list);
   void SpillToDisk();
   void MaybeMergeSpills();
   /// Minimal key across the in-memory heap and spill stream heads; false
@@ -89,15 +134,6 @@ class Shared {
   bool FindMinKey(Slice* out);
   /// Clear the key arena once nothing references it (table and heap empty).
   void MaybeReclaimKeys();
-
-  /// A key's pending values plus the size at which the next combine fires.
-  /// The doubling threshold keeps combining amortized-linear even when the
-  /// combiner cannot shrink a key's values below 2 (e.g. top-k style
-  /// aggregates over many distinct sub-values).
-  struct ValueList {
-    std::vector<std::string> values;
-    size_t next_combine = 2;
-  };
 
   Options options_;
   /// Each distinct key's bytes are interned once into key_arena_; the table
@@ -115,23 +151,17 @@ class Shared {
   std::vector<SpillRun> spills_;
   size_t memory_bytes_ = 0;
   int spill_counter_ = 0;
-};
 
-/// \brief ValueIterator over a vector of strings (a popped group).
-class VectorValueIterator : public ValueIterator {
- public:
-  explicit VectorValueIterator(const std::vector<std::string>* values)
-      : values_(values) {}
+  // The popped group, valid until the next Add/PopMinGroup: its key, and
+  // its values as the runs moved out of the table (one per key), or as
+  // merged_run_ when the group spans spills.
+  std::string group_key_;
+  std::vector<std::string> group_runs_;
+  std::vector<Slice> group_keys_;  ///< keys of group_runs_, spill path only
+  std::string merged_run_;
+  RunValueIterator group_values_;
 
-  bool Next(Slice* value) override {
-    if (pos_ >= values_->size()) return false;
-    *value = (*values_)[pos_++];
-    return true;
-  }
-
- private:
-  const std::vector<std::string>* values_;
-  size_t pos_ = 0;
+  CaptureContext combined_;  ///< the reduce-phase Combiner's output
 };
 
 }  // namespace anticombine

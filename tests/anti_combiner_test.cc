@@ -95,6 +95,24 @@ class WordsMapper : public Mapper {
   }
 };
 
+// WordsMapper that emits into the context it got at Setup and ignores the
+// one Map passes, as mr/skew.cc's hot-key SaltingMapper does. It also emits
+// one record from Setup, which must be discarded.
+class SetupBoundWordsMapper : public Mapper {
+ public:
+  void Setup(const TaskInfo&, MapContext* ctx) override {
+    ctx_ = ctx;
+    ctx->Emit("1setup", "1");
+  }
+  void Map(const Slice& key, const Slice& value, MapContext*) override {
+    words_.Map(key, value, ctx_);
+  }
+
+ private:
+  WordsMapper words_;
+  MapContext* ctx_ = nullptr;
+};
+
 using testing::DigitPartitioner;
 
 int CompareFirstByte(const Slice& a, const Slice& b) {
@@ -265,6 +283,19 @@ TEST_F(AntiCombinerTest, LazyRecordIsRemappedIntoOwnPartitionOnly) {
   info_.num_reduce_tasks = 2;
   info_.shuffle_partition = 1;
   mapper_ = []() { return std::make_unique<WordsMapper>(); };
+  auto out =
+      Run({{{"1b", Lazy("in", "0a 1b 1c 0d")}, {"1b", Eager({}, "4")}}});
+  EXPECT_EQ(metrics_.remap_calls, 1u);
+  EXPECT_EQ(ValuesByKey(out),
+            (std::map<std::string, std::string>{{"1b", "5"}, {"1c", "1"}}));
+}
+
+TEST_F(AntiCombinerTest, LazyRemapReachesMapperBoundToItsSetupContext) {
+  static DigitPartitioner digits;
+  info_.partitioner = &digits;
+  info_.num_reduce_tasks = 2;
+  info_.shuffle_partition = 1;
+  mapper_ = []() { return std::make_unique<SetupBoundWordsMapper>(); };
   auto out =
       Run({{{"1b", Lazy("in", "0a 1b 1c 0d")}, {"1b", Eager({}, "4")}}});
   EXPECT_EQ(metrics_.remap_calls, 1u);

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "anticombine/encoding.h"
+#include "common/stopwatch.h"
 #include "mr/metrics.h"
 #include "mr/reduce_task.h"
 #include "test_util.h"
@@ -65,24 +68,54 @@ class RecordingReducer : public Reducer {
   std::vector<Call>* log_;
 };
 
+// Counts the values the original Reduce receives, allocating nothing.
+class CountingReducer : public Reducer {
+ public:
+  explicit CountingReducer(uint64_t* values) : values_(values) {}
+
+  void Reduce(const Slice&, ValueIterator* values, ReduceContext*) override {
+    Slice v;
+    while (values->Next(&v)) ++*values_;
+  }
+
+ private:
+  uint64_t* values_;
+};
+
 // Scripted mapper for Lazy re-execution: input value "a:v1 b:v2 ..." emits
-// (a, v1), (b, v2), ...
+// (a, v1), (b, v2), ... as views of the input, allocating nothing.
 class RemapMapper : public Mapper {
  public:
   void Map(const Slice&, const Slice& value, MapContext* ctx) override {
-    size_t start = 0;
-    const std::string text(value.data(), value.size());
-    while (start < text.size()) {
-      size_t end = text.find(' ', start);
-      if (end == std::string::npos) end = text.size();
-      const std::string token = text.substr(start, end - start);
+    std::string_view text = value.view();
+    while (!text.empty()) {
+      const std::string_view token = text.substr(0, text.find(' '));
       const size_t colon = token.find(':');
-      if (colon != std::string::npos) {
+      if (colon != std::string_view::npos) {
         ctx->Emit(token.substr(0, colon), token.substr(colon + 1));
       }
-      start = end + 1;
+      text.remove_prefix(std::min(token.size() + 1, text.size()));
     }
   }
+};
+
+// RemapMapper that emits into the context it got at Setup and ignores the
+// one Map passes, as mr/skew.cc's hot-key SaltingMapper does. It also emits
+// from Setup and Cleanup, which must be discarded.
+class SetupBoundRemapMapper : public Mapper {
+ public:
+  void Setup(const TaskInfo&, MapContext* ctx) override {
+    ctx_ = ctx;
+    ctx->Emit("1setup", "s");
+  }
+  void Map(const Slice& key, const Slice& value, MapContext*) override {
+    remap_.Map(key, value, ctx_);
+  }
+  void Cleanup(MapContext* ctx) override { ctx->Emit("1cleanup", "c"); }
+
+ private:
+  RemapMapper remap_;
+  MapContext* ctx_ = nullptr;
 };
 
 using testing::DigitPartitioner;
@@ -106,12 +139,15 @@ class AntiReducerTest : public ::testing::Test {
  protected:
   void SetUp() override { env_ = NewMemEnv(); }
 
+  /// The original Reduce defaults to a RecordingReducer into log_.
   std::unique_ptr<AntiReducer> MakeReducer(
       const AntiCombineOptions& options = AntiCombineOptions(),
-      ReducerFactory combiner = nullptr) {
-    auto reducer = std::make_unique<AntiReducer>(
-        [this]() { return std::make_unique<RecordingReducer>(&log_); },
-        []() { return std::make_unique<RemapMapper>(); }, combiner, options);
+      ReducerFactory combiner = nullptr, ReducerFactory original = nullptr) {
+    if (!original) {
+      original = [this]() { return std::make_unique<RecordingReducer>(&log_); };
+    }
+    auto reducer = std::make_unique<AntiReducer>(std::move(original), mapper_,
+                                                 combiner, options);
     info_.task_id = 1;
     info_.shuffle_partition = 1;
     info_.num_reduce_tasks = 4;
@@ -130,6 +166,7 @@ class AntiReducerTest : public ::testing::Test {
     reducer->Reduce(items.front().key, &it, &ctx_);
   }
 
+  MapperFactory mapper_ = []() { return std::make_unique<RemapMapper>(); };
   std::unique_ptr<Env> env_;
   DigitPartitioner partitioner_;
   JobMetrics metrics_;
@@ -217,6 +254,19 @@ TEST_F(AntiReducerTest, LazyRemapKeepsOnlyThisPartition) {
   EXPECT_EQ(metrics_.remap_calls, 1u);
 }
 
+TEST_F(AntiReducerTest, LazyRemapReachesMapperBoundToItsSetupContext) {
+  mapper_ = []() { return std::make_unique<SetupBoundRemapMapper>(); };
+  auto reducer = MakeReducer();
+  Call(reducer.get(),
+       {{"1a", LazyValue("ik", "1a:x 2b:y 1c:z")}});
+  reducer->Cleanup(&ctx_);
+  ASSERT_EQ(log_.size(), 2u);
+  EXPECT_EQ(log_[0].key, "1a");
+  EXPECT_EQ(log_[0].values, std::vector<std::string>{"x"});
+  EXPECT_EQ(log_[1].key, "1c");
+  EXPECT_EQ(log_[1].values, std::vector<std::string>{"z"});
+}
+
 TEST_F(AntiReducerTest, MixedEncodingsInOneGroup) {
   auto reducer = MakeReducer();
   Call(reducer.get(), {{"1a", EagerValue({}, "plain")},
@@ -268,6 +318,72 @@ TEST_F(AntiReducerTest, SharedSpillsDoNotChangeResults) {
   for (size_t i = 1; i < log_.size(); ++i) {
     EXPECT_LT(log_[i - 1].key, log_[i].key);
   }
+}
+
+// Remap inserts into Shared as Map emits, so its window contains the
+// combines those inserts trigger. cpu.remap must exclude them, or the
+// decode window, which subtracts remap and combine both, would subtract
+// them twice.
+TEST_F(AntiReducerTest, RemapWindowExcludesSharedCombines) {
+  constexpr uint64_t kBurnNanos = 2'000'000;
+  class BurningSumCombiner : public Reducer {
+   public:
+    void Reduce(const Slice& key, ValueIterator* values,
+                ReduceContext* ctx) override {
+      const uint64_t start = NowNanos();
+      while (NowNanos() - start < kBurnNanos) {
+      }
+      long total = 0;
+      Slice v;
+      while (values->Next(&v)) total += std::stol(v.ToString());
+      ctx->Emit(key, std::to_string(total));
+    }
+  };
+  auto reducer = MakeReducer(
+      AntiCombineOptions(),
+      []() { return std::make_unique<BurningSumCombiner>(); });
+  // The remap emits "1a" twice: the second insert fires a combine.
+  Call(reducer.get(), {{"1a", LazyValue("ik", "1a:1 1a:2")}});
+  reducer->Cleanup(&ctx_);
+  ASSERT_EQ(log_.size(), 1u);
+  EXPECT_EQ(log_[0].values, std::vector<std::string>{"3"});
+  EXPECT_EQ(metrics_.remap_calls, 1u);
+  EXPECT_GE(metrics_.cpu.combine, kBurnNanos);
+  EXPECT_LT(metrics_.cpu.remap, metrics_.cpu.combine);
+}
+
+// LazySH remaps emit straight into Shared and Shared appends to one run per
+// key, so remapping onto keys already resident allocates nothing per call:
+// only the runs' geometric growth (and the group key's new table entry)
+// allocates. Values are 32 bytes, beyond small-string optimization, so a
+// per-record copy would show up in the counter (the capture-then-filter
+// path with one std::string per Shared value made over 3000 here).
+TEST_F(AntiReducerTest, LazyRemapsOntoResidentKeysAllocateOnlyRunGrowth) {
+  uint64_t reduced = 0;
+  auto reducer = MakeReducer(AntiCombineOptions(), nullptr, [&reduced]() {
+    return std::make_unique<CountingReducer>(&reduced);
+  });
+  const std::string v(32, 'v');
+  // Partition 1 owns 1a (the group key), 1b and 1c; 2d is dropped.
+  const std::string payload =
+      LazyValue("ik", "1a:" + v + " 2d:" + v + " 1b:" + v + " 1c:" + v);
+  constexpr int kRemaps = 1000;
+  const std::vector<KV> items(kRemaps, KV("1a", payload));
+
+  // Warm-up: 1b and 1c become resident and stay so (they sort after 1a).
+  {
+    PayloadIterator it(items);
+    reducer->Reduce("1a", &it, &ctx_);
+  }
+  PayloadIterator it(items);
+  const uint64_t before = test_alloc::AllocationCount();
+  reducer->Reduce("1a", &it, &ctx_);
+  const uint64_t allocs = test_alloc::AllocationCount() - before;
+  EXPECT_LE(allocs, 32u);
+
+  reducer->Cleanup(&ctx_);
+  EXPECT_EQ(metrics_.remap_calls, 2u * kRemaps);
+  EXPECT_EQ(reduced, 3u * 2 * kRemaps);
 }
 
 TEST_F(AntiReducerTest, EmptyTaskCleanupIsSafe) {

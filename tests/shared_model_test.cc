@@ -1,5 +1,5 @@
 // Model-based property test of the Shared structure: random interleavings
-// of Add / PeekMinKey / PopMinKeyValues, under varying memory limits and
+// of Add / PeekMinKey / PopMinGroup, under varying memory limits and
 // merge thresholds, compared against a trivial reference model
 // (std::multimap). Any divergence in contents or drain order is a bug.
 #include <map>
@@ -14,6 +14,19 @@
 namespace antimr {
 namespace anticombine {
 namespace {
+
+/// Pop the minimal group and copy its key and values out of the views,
+/// appending the values to *values.
+bool PopGroup(Shared* shared, std::string* key,
+              std::vector<std::string>* values) {
+  Slice group_key;
+  ValueIterator* it = nullptr;
+  if (!shared->PopMinGroup(&group_key, &it)) return false;
+  key->assign(group_key.data(), group_key.size());
+  Slice value;
+  while (it->Next(&value)) values->push_back(value.ToString());
+  return true;
+}
 
 struct ModelParam {
   uint64_t seed;
@@ -63,7 +76,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
       // Pop: the minimal group, as a multiset of values.
       std::string group_key;
       std::vector<std::string> values;
-      const bool popped = shared.PopMinKeyValues(&group_key, &values);
+      const bool popped = PopGroup(&shared, &group_key, &values);
       EXPECT_EQ(popped, !model.empty());
       if (!popped) continue;
       const std::string expected_key = model.begin()->first;
@@ -85,7 +98,7 @@ TEST_P(SharedModelTest, MatchesReferenceModel) {
   bool first = true;
   std::string group_key;
   std::vector<std::string> values;
-  while (shared.PopMinKeyValues(&group_key, &values)) {
+  while (PopGroup(&shared, &group_key, &values)) {
     if (!first) {
       EXPECT_GT(group_key, last_key);
     }

@@ -16,6 +16,19 @@ namespace antimr {
 namespace anticombine {
 namespace {
 
+/// Pop the minimal group and copy its key and values out of the views,
+/// appending the values to *values.
+bool PopGroup(Shared* shared, std::string* key,
+              std::vector<std::string>* values) {
+  Slice group_key;
+  ValueIterator* it = nullptr;
+  if (!shared->PopMinGroup(&group_key, &it)) return false;
+  key->assign(group_key.data(), group_key.size());
+  Slice value;
+  while (it->Next(&value)) values->push_back(value.ToString());
+  return true;
+}
+
 class SharedTest : public ::testing::Test {
  protected:
   void SetUp() override { env_ = NewMemEnv(); }
@@ -40,7 +53,7 @@ class SharedTest : public ::testing::Test {
     while (shared->PeekMinKey(&key)) {
       values.clear();
       std::string group_key;
-      EXPECT_TRUE(shared->PopMinKeyValues(&group_key, &values));
+      EXPECT_TRUE(PopGroup(shared, &group_key, &values));
       if (!first) {
         EXPECT_GT(group_key, last_key) << "groups must pop in key order";
       }
@@ -62,7 +75,7 @@ TEST_F(SharedTest, EmptyInitially) {
   std::string key;
   EXPECT_FALSE(shared.PeekMinKey(&key));
   std::vector<std::string> values;
-  EXPECT_FALSE(shared.PopMinKeyValues(&key, &values));
+  EXPECT_FALSE(PopGroup(&shared, &key, &values));
 }
 
 TEST_F(SharedTest, SingleRecord) {
@@ -142,19 +155,19 @@ TEST_F(SharedTest, InterleavedAddAndPop) {
   shared.Add("d", "d1");
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "b");
   // Add keys after popping; they must surface in order.
   shared.Add("c", "c1");
   shared.Add("e", "e1");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "c");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "d");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "e");
   EXPECT_TRUE(shared.Empty());
 }
@@ -164,10 +177,10 @@ TEST_F(SharedTest, ReAddingPoppedKeyWorks) {
   shared.Add("k", "1");
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   shared.Add("k", "2");
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(values, std::vector<std::string>{"2"});
 }
 
@@ -185,12 +198,12 @@ TEST_F(SharedTest, GroupingComparatorMergesKeys) {
   shared.Add("b1", "other");
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "a1");
   // Values of a1 and a2, in key order.
   EXPECT_EQ(values, (std::vector<std::string>{"first", "second"}));
   values.clear();
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "b1");
 }
 
@@ -203,7 +216,7 @@ TEST_F(SharedTest, GroupSpansMemoryAndSpills) {
   shared.Add("k", "b");
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&key, &values));
+  ASSERT_TRUE(PopGroup(&shared, &key, &values));
   EXPECT_EQ(key, "k");
   ASSERT_EQ(values.size(), 2u);
 }
@@ -273,7 +286,7 @@ TEST_F(SharedTest, BinarySafeKeysAndValues) {
   shared.Add(key, value);
   std::string popped;
   std::vector<std::string> values;
-  ASSERT_TRUE(shared.PopMinKeyValues(&popped, &values));
+  ASSERT_TRUE(PopGroup(&shared, &popped, &values));
   EXPECT_EQ(popped, key);
   EXPECT_EQ(values, std::vector<std::string>{value});
 }
@@ -295,12 +308,12 @@ TEST_F(SharedTest, PeekMinKeySliceOverloadViewsInternedKey) {
   EXPECT_EQ(min_str, "apple");
 }
 
-// Allocation-count regression guard for the interned-key redesign. The old
-// implementation allocated a std::string per Add just to probe the table
-// (table_.find(std::string(key.view()))) and re-copied heap_.top() at every
-// spill/pop touch. With keys interned once, adding values to an existing key
-// must cost ~one allocation (the owned value) — not two-plus. Keys/values
-// are 32 chars, comfortably beyond small-string optimization, so any key
+// Allocation-count regression guard for the interned-key, one-run-per-key
+// layout. Adding values to a resident key must neither copy the key (the
+// old table probe built a std::string per Add) nor allocate per value (the
+// old value list owned one std::string per value): the key's run grows
+// geometrically, so 1000 Adds cost a handful of reallocations. Keys and
+// values are 32 chars, beyond small-string optimization, so any per-Add
 // copy would show up in the counter.
 TEST_F(SharedTest, AddToExistingKeyDoesNotCopyKey) {
   Shared shared(BaseOptions());
@@ -314,10 +327,149 @@ TEST_F(SharedTest, AddToExistingKeyDoesNotCopyKey) {
   for (int i = 0; i < kAdds; ++i) shared.Add(key, value);
   const uint64_t allocs = test_alloc::AllocationCount() - before;
 
-  // One allocation per owned value plus amortized vector growth. The old
-  // per-Add key-probe copy alone would push this past 2 * kAdds.
-  EXPECT_LE(allocs, kAdds + kAdds / 2)
-      << "per-Add key copies have crept back into Shared::AddInternal";
+  // Only the run's geometric growth allocates.
+  EXPECT_LE(allocs, 32u)
+      << "per-Add allocations have crept back into Shared::AddInternal";
+}
+
+// The views a pop hands out stay intact until the next Add or pop, for a
+// group whose values merge memory with several spills.
+TEST_F(SharedTest, PoppedViewsOfGroupSpanningSpillsReadBackIntact) {
+  Shared::Options options = BaseOptions();
+  options.memory_limit_bytes = 64;
+  Shared shared(options);
+  std::vector<std::string> expected;
+  for (int i = 0; i < 5; ++i) {
+    // Each 80-byte value spills; the short ones stay in memory between.
+    expected.push_back(std::string(80, static_cast<char>('a' + i)));
+    expected.push_back("short" + std::to_string(i));
+    shared.Add("k", expected[expected.size() - 2]);
+    shared.Add("k", expected.back());
+  }
+  shared.Add("z", "after");
+  EXPECT_GT(metrics_.shared_spills, 1u);
+
+  Slice key;
+  ValueIterator* it = nullptr;
+  ASSERT_TRUE(shared.PopMinGroup(&key, &it));
+  std::vector<Slice> views;
+  Slice value;
+  while (it->Next(&value)) views.push_back(value);
+  // Read back only after the iterator is exhausted: every view must still
+  // hold its bytes.
+  EXPECT_EQ(key.ToString(), "k");
+  std::vector<std::string> got;
+  for (const Slice& v : views) got.push_back(v.ToString());
+  std::sort(got.begin(), got.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(got, expected);
+
+  auto rest = DrainAll(&shared);
+  EXPECT_EQ(rest["z"], std::vector<std::string>{"after"});
+}
+
+// A grouping-comparator group pops several keys' runs at once; the views
+// into all of them stay intact together, in key order.
+TEST_F(SharedTest, PoppedViewsOfMultiKeyGroupReadBackIntact) {
+  Shared::Options options = BaseOptions();
+  options.grouping_cmp = [](const Slice& a, const Slice& b) {
+    const char ca = a.empty() ? 0 : a[0];
+    const char cb = b.empty() ? 0 : b[0];
+    return (ca < cb) ? -1 : (ca > cb ? 1 : 0);
+  };
+  Shared shared(options);
+  const std::vector<std::string> keys = {"a3", "a1", "a2"};
+  for (int round = 0; round < 4; ++round) {
+    for (const std::string& key : keys) {
+      shared.Add(key, key + std::string(40, 'x') + std::to_string(round));
+    }
+  }
+  shared.Add("b1", "other");
+
+  Slice key;
+  ValueIterator* it = nullptr;
+  ASSERT_TRUE(shared.PopMinGroup(&key, &it));
+  std::vector<Slice> views;
+  Slice value;
+  while (it->Next(&value)) views.push_back(value);
+  EXPECT_EQ(key.ToString(), "a1");
+  std::vector<std::string> expected;
+  for (const char* k : {"a1", "a2", "a3"}) {
+    for (int round = 0; round < 4; ++round) {
+      expected.push_back(k + std::string(40, 'x') + std::to_string(round));
+    }
+  }
+  std::vector<std::string> got;
+  for (const Slice& v : views) got.push_back(v.ToString());
+  EXPECT_EQ(got, expected);
+
+  std::string next;
+  std::vector<std::string> values;
+  ASSERT_TRUE(PopGroup(&shared, &next, &values));
+  EXPECT_EQ(next, "b1");
+  EXPECT_EQ(values, std::vector<std::string>{"other"});
+}
+
+// Keeps the two largest values of a key, largest first.
+class Top2Combiner : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    std::vector<long> all;
+    Slice v;
+    while (values->Next(&v)) all.push_back(std::stol(v.ToString()));
+    std::sort(all.rbegin(), all.rend());
+    for (size_t i = 0; i < all.size() && i < 2; ++i) {
+      ctx->Emit(key, std::to_string(all[i]));
+    }
+  }
+};
+
+// A combine rewrites the key's run from the Combiner's output. With
+// combines at 2 values and then whenever the run reaches twice its
+// post-combine size, adding 1..10 combines 2 + 4 + 4 + 4 + 4 = 18 values
+// into 2 each time, and memory_usage counts key and value bytes only.
+TEST_F(SharedTest, CombinerOutputRewritesRun) {
+  Top2Combiner combiner;
+  Shared::Options options = BaseOptions();
+  options.combiner = &combiner;
+  Shared shared(options);
+  for (int i = 1; i <= 10; ++i) shared.Add("k", std::to_string(i));
+  EXPECT_EQ(metrics_.combine_input_records, 18u);
+  EXPECT_EQ(metrics_.combine_output_records, 10u);
+  EXPECT_EQ(shared.memory_usage(), 4u);  // "k" + "10" + "9"
+  auto all = DrainAll(&shared);
+  EXPECT_EQ(all["k"], (std::vector<std::string>{"10", "9"}));
+}
+
+// Sums a key's values and also emits one marker record under another key.
+class SumAndMarkCombiner : public Reducer {
+ public:
+  void Reduce(const Slice& key, ValueIterator* values,
+              ReduceContext* ctx) override {
+    long total = 0;
+    Slice v;
+    while (values->Next(&v)) total += std::stol(v.ToString());
+    ctx->Emit(key, std::to_string(total));
+    ctx->Emit("other", "m");
+  }
+};
+
+// Combiner output under a different key lands in that key's run, which is
+// not combined again; the combined key's run keeps only its own output.
+TEST_F(SharedTest, CombinerOutputUnderOtherKeyIsKept) {
+  SumAndMarkCombiner combiner;
+  Shared::Options options = BaseOptions();
+  options.combiner = &combiner;
+  Shared shared(options);
+  for (int i = 0; i < 4; ++i) shared.Add("k", "1");
+  // Combines fire at the 2nd, 3rd and 4th Add (each leaves one value).
+  EXPECT_EQ(metrics_.combine_input_records, 6u);
+  EXPECT_EQ(metrics_.combine_output_records, 6u);
+  EXPECT_EQ(shared.memory_usage(), 10u);  // "k" + "4" + "other" + 3 x "m"
+  auto all = DrainAll(&shared);
+  EXPECT_EQ(all["k"], std::vector<std::string>{"4"});
+  EXPECT_EQ(all["other"], (std::vector<std::string>{"m", "m", "m"}));
 }
 
 }  // namespace
