@@ -5,20 +5,6 @@
 namespace antimr {
 namespace anticombine {
 
-namespace {
-// Zero-padded big-endian load of s's first 8 bytes: comparing two prefixes
-// orders the slices as their first 8 bytes would, so most value
-// comparisons in the sort never leave the Entry.
-uint64_t OrderPrefix(const Slice& s) {
-  uint64_t prefix = 0;
-  const size_t n = std::min<size_t>(s.size(), 8);
-  for (size_t i = 0; i < n; ++i) {
-    prefix |= static_cast<uint64_t>(static_cast<uint8_t>(s[i])) << (56 - 8 * i);
-  }
-  return prefix;
-}
-}  // namespace
-
 void EagerGroups::Build(const RecordBatch& records, const int* partitions,
                         const KeyComparator& key_cmp) {
   key_cmp_ = &key_cmp;

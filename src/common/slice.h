@@ -4,7 +4,9 @@
 #ifndef ANTIMR_COMMON_SLICE_H_
 #define ANTIMR_COMMON_SLICE_H_
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -66,7 +68,8 @@ class Slice {
   }
 
   friend bool operator==(const Slice& a, const Slice& b) {
-    return a.compare(b) == 0;
+    return a.size_ == b.size_ &&
+           (a.size_ == 0 || std::memcmp(a.data_, b.data_, a.size_) == 0);
   }
   friend bool operator!=(const Slice& a, const Slice& b) { return !(a == b); }
   friend bool operator<(const Slice& a, const Slice& b) {
@@ -77,6 +80,21 @@ class Slice {
   const char* data_;
   size_t size_;
 };
+
+/// Zero-padded big-endian load of s's first 8 bytes. Comparing two
+/// prefixes orders the slices as their first 8 bytes would, so a sort can
+/// settle most comparisons without leaving its entries; slices whose
+/// prefixes tie still need a full comparison unless both are at most 8
+/// bytes and of equal length.
+inline uint64_t OrderPrefix(const Slice& s) {
+  uint64_t prefix = 0;
+  const size_t n = s.size() < 8 ? s.size() : 8;
+  if (n != 0) std::memcpy(&prefix, s.data(), n);
+  if constexpr (std::endian::native == std::endian::little) {
+    prefix = __builtin_bswap64(prefix);
+  }
+  return prefix;
+}
 
 }  // namespace antimr
 

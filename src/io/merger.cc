@@ -4,6 +4,11 @@ namespace antimr {
 
 int BytewiseCompare(const Slice& a, const Slice& b) { return a.compare(b); }
 
+bool IsBytewise(const KeyComparator& cmp) {
+  const auto* target = cmp.target<int (*)(const Slice&, const Slice&)>();
+  return target != nullptr && *target == &BytewiseCompare;
+}
+
 MergingStream::MergingStream(std::vector<std::unique_ptr<KVStream>> inputs,
                              KeyComparator cmp)
     : inputs_(std::move(inputs)), cmp_(std::move(cmp)) {
@@ -14,8 +19,8 @@ MergingStream::MergingStream(std::vector<std::unique_ptr<KVStream>> inputs,
   if (const auto* target =
           cmp_.target<int (*)(const Slice&, const Slice&)>()) {
     raw_cmp_ = *target;
-    bytewise_ = raw_cmp_ == &BytewiseCompare;
   }
+  bytewise_ = IsBytewise(cmp_);
   eager_inputs_ = true;
   for (const auto& input : inputs_) {
     if (!input->SupportsEagerBatches()) {

@@ -18,6 +18,12 @@ using KeyComparator = std::function<int(const Slice&, const Slice&)>;
 /// Bytewise comparison; the default key order.
 int BytewiseCompare(const Slice& a, const Slice& b);
 
+/// True when `cmp` wraps BytewiseCompare itself, so a caller may compare
+/// keys inline (Slice::compare, Slice ==, or OrderPrefix) instead of making
+/// a std::function call per comparison. A closure that happens to order
+/// bytewise is not recognised and takes the general path.
+bool IsBytewise(const KeyComparator& cmp);
+
 /// \brief Heap-based k-way merging stream.
 ///
 /// Stable across inputs: on equal keys, records from lower-indexed input
@@ -54,7 +60,7 @@ class MergingStream : public KVStream {
   int current_ = -1;       // stream whose head is the current record
   bool eager_inputs_ = false;
   // Plain-function form of cmp_ (null when cmp_ wraps a closure), handed to
-  // producers via BatchOptions::raw_cmp; bytewise_ additionally marks the
+  // producers via BatchOptions::raw_cmp; bytewise_ (IsBytewise) marks the
   // default byte order so HeapLess can compare inline.
   int (*raw_cmp_)(const Slice&, const Slice&) = nullptr;
   bool bytewise_ = false;
